@@ -26,14 +26,14 @@
 use crate::node::{
     apply_msgs_to_entries, buffer_insert, buffer_merge, decode_alloc_state, encode_alloc_state,
 };
-use dam_cache::{Pager, PagerError};
+use dam_cache::Pager;
 
 const OPT_SUPERBLOCK_MAGIC: u32 = 0x4441_4D4F; // "DAMO"
 const OPT_SUPERBLOCK_VERSION: u8 = 1;
 use dam_kv::codec::{frame_into_slot, unframe, CodecError, Reader, Writer, FRAME_OVERHEAD};
 use dam_kv::msg::{replay, LastWriteWins, MergeOperator, Message, Operation};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
-use dam_obs::Obs;
+use dam_obs::{Obs, PagedCost};
 use dam_storage::SharedDevice;
 
 const TAG_EMPTY: u8 = 0;
@@ -232,10 +232,6 @@ impl Seg {
     }
 }
 
-fn map_pager(e: PagerError) -> KvError {
-    KvError::Storage(e.to_string())
-}
-
 /// The optimized Bε-tree (see module docs).
 pub struct OptBeTree {
     pager: Pager,
@@ -270,7 +266,7 @@ impl OptBeTree {
         let cap = cfg.cap();
         let node_bytes = cfg.node_bytes();
         let mut pager = Pager::new(device, cfg.cache_bytes, cfg.superblock_bytes());
-        let addr = pager.alloc(node_bytes as u64).map_err(map_pager)?;
+        let addr = pager.alloc(node_bytes as u64)?;
         let mut tree = OptBeTree {
             pager,
             fanout: cfg.fanout,
@@ -321,7 +317,7 @@ impl OptBeTree {
 
     /// Write all dirty nodes.
     pub fn flush(&mut self) -> Result<(), KvError> {
-        self.pager.flush().map_err(map_pager)
+        Ok(self.pager.flush()?)
     }
 
     /// Checkpoint: flush dirty nodes, then durably write a superblock (the
@@ -347,7 +343,7 @@ impl OptBeTree {
             return Err(KvError::Config("superblock overflow".into()));
         }
         let image = frame_into_slot(&payload, reserved as usize);
-        self.pager.write_through(0, image).map_err(map_pager)
+        Ok(self.pager.write_through(0, image)?)
     }
 
     /// Reopen a tree previously [`OptBeTree::persist`]ed on `device`. The
@@ -355,7 +351,7 @@ impl OptBeTree {
     pub fn open(device: SharedDevice, cfg: OptConfig) -> Result<Self, KvError> {
         let reserved = cfg.superblock_bytes();
         let mut pager = Pager::new(device, cfg.cache_bytes, reserved);
-        let image = pager.read(0, reserved as usize).map_err(map_pager)?;
+        let image = pager.read(0, reserved as usize)?;
         let corrupt = |what: String| KvError::Corrupt(format!("superblock: {what}"));
         let dec = |e: CodecError| corrupt(e.to_string());
         let payload = unframe(&image).map_err(dec)?;
@@ -410,7 +406,7 @@ impl OptBeTree {
 
     /// Flush and empty the cache.
     pub fn drop_cache(&mut self) -> Result<(), KvError> {
-        self.pager.drop_cache().map_err(map_pager)
+        Ok(self.pager.drop_cache()?)
     }
 
     // ------------------------------------------------------------------
@@ -441,11 +437,11 @@ impl OptBeTree {
             image.extend_from_slice(&frame_into_slot(&w.into_bytes(), self.seg_bytes));
         }
         image.resize(self.node_bytes, 0);
-        self.pager.write(addr, image).map_err(map_pager)
+        Ok(self.pager.write(addr, image)?)
     }
 
     fn read_whole(&mut self, addr: u64, used: usize) -> Result<Vec<Seg>, KvError> {
-        let image = self.pager.read(addr, self.node_bytes).map_err(map_pager)?;
+        let image = self.pager.read(addr, self.node_bytes)?;
         let mut segs = Vec::with_capacity(used);
         for j in 0..used {
             let slice = &image[j * self.seg_bytes..(j + 1) * self.seg_bytes];
@@ -466,10 +462,9 @@ impl OptBeTree {
     }
 
     fn read_seg(&mut self, addr: u64, j: usize) -> Result<Seg, KvError> {
-        let buf = self
-            .pager
-            .read_within(addr, self.node_bytes, j * self.seg_bytes, self.seg_bytes)
-            .map_err(map_pager)?;
+        let buf =
+            self.pager
+                .read_within(addr, self.node_bytes, j * self.seg_bytes, self.seg_bytes)?;
         let payload =
             unframe(&buf).map_err(|e| KvError::Corrupt(format!("node {addr} seg {j}: {e}")))?;
         match Seg::decode(payload)
@@ -783,7 +778,7 @@ impl OptBeTree {
     }
 
     fn alloc_node(&mut self) -> Result<u64, KvError> {
-        self.pager.alloc(self.node_bytes as u64).map_err(map_pager)
+        Ok(self.pager.alloc(self.node_bytes as u64)?)
     }
 
     /// Grow the root when it splits.
@@ -1283,26 +1278,11 @@ impl OptBeTree {
         }
         Ok(total)
     }
+}
 
-    /// Reset per-op cost accounting and snapshot the pager counters. Called
-    /// at the start of every `Dictionary` operation so a failed op reports
-    /// zero cost instead of the previous op's stale numbers.
-    fn begin_op(&mut self) -> dam_cache::CostSnapshot {
-        self.last_cost = OpCost::default();
-        self.pager.snapshot()
-    }
-
-    fn finish_op(&mut self, snap: &dam_cache::CostSnapshot) {
-        let d = self.pager.cost_since(snap);
-        self.last_cost = OpCost {
-            ios: d.ios,
-            bytes_read: d.bytes_read,
-            bytes_written: d.bytes_written,
-            io_time_ns: d.io_time_ns,
-        };
-        if let Some(o) = &self.obs {
-            o.record_pager(&self.pager.counters());
-        }
+impl PagedCost for OptBeTree {
+    fn cost_parts(&mut self) -> (&Pager, &mut OpCost, Option<&Obs>) {
+        (&self.pager, &mut self.last_cost, self.obs.as_ref())
     }
 }
 

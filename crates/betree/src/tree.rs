@@ -4,7 +4,7 @@ use crate::node::{
     buffer_insert, buffer_merge, decode_alloc_state, encode_alloc_state, BeNode, NodeId,
     LEAF_ENTRY_OVERHEAD, NODE_HEADER_BYTES,
 };
-use dam_cache::{Pager, PagerError};
+use dam_cache::Pager;
 use dam_kv::codec::{Reader, Writer};
 
 /// Bytes reserved at device offset 0 for the superblock.
@@ -13,7 +13,7 @@ const SUPERBLOCK_MAGIC: u32 = 0x4441_4D45; // "DAME"
 const SUPERBLOCK_VERSION: u8 = 1;
 use dam_kv::msg::{replay, LastWriteWins, MergeOperator, Message, Operation};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
-use dam_obs::Obs;
+use dam_obs::{Obs, PagedCost};
 use dam_storage::SharedDevice;
 
 /// Standard Bε-tree configuration.
@@ -54,10 +54,6 @@ impl BeTreeConfig {
     }
 }
 
-fn map_pager(e: PagerError) -> KvError {
-    KvError::Storage(e.to_string())
-}
-
 /// `(pivot, id)` pairs for new right siblings produced by a split.
 type Splits = Vec<(Vec<u8>, NodeId)>;
 
@@ -96,7 +92,7 @@ impl BeTree {
             return Err(KvError::Config("bulk_fill must be in [0.5, 1.0]".into()));
         }
         let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
-        let root = pager.alloc(cfg.node_bytes as u64).map_err(map_pager)?;
+        let root = pager.alloc(cfg.node_bytes as u64)?;
         let mut tree = BeTree {
             pager,
             node_bytes: cfg.node_bytes,
@@ -130,7 +126,7 @@ impl BeTree {
 
     /// Write all dirty nodes to the device.
     pub fn flush(&mut self) -> Result<(), KvError> {
-        self.pager.flush().map_err(map_pager)
+        Ok(self.pager.flush()?)
     }
 
     /// Checkpoint: flush dirty nodes, then durably write a superblock so
@@ -154,7 +150,7 @@ impl BeTree {
             ));
         }
         let image = dam_kv::codec::frame_into_slot(&payload, SUPERBLOCK_BYTES as usize);
-        self.pager.write_through(0, image).map_err(map_pager)
+        Ok(self.pager.write_through(0, image)?)
     }
 
     /// Reopen a tree previously [`BeTree::persist`]ed on `device`. The
@@ -162,9 +158,7 @@ impl BeTree {
     /// config (it is code, not data).
     pub fn open(device: SharedDevice, cfg: BeTreeConfig) -> Result<Self, KvError> {
         let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
-        let image = pager
-            .read(0, SUPERBLOCK_BYTES as usize)
-            .map_err(map_pager)?;
+        let image = pager.read(0, SUPERBLOCK_BYTES as usize)?;
         let corrupt = |what: String| KvError::Corrupt(format!("superblock: {what}"));
         let dec = |e: dam_kv::codec::CodecError| corrupt(e.to_string());
         let payload = dam_kv::codec::unframe(&image).map_err(dec)?;
@@ -214,11 +208,11 @@ impl BeTree {
 
     /// Flush and empty the cache.
     pub fn drop_cache(&mut self) -> Result<(), KvError> {
-        self.pager.drop_cache().map_err(map_pager)
+        Ok(self.pager.drop_cache()?)
     }
 
     fn read_node(&mut self, id: NodeId) -> Result<BeNode, KvError> {
-        let buf = self.pager.read(id, self.node_bytes).map_err(map_pager)?;
+        let buf = self.pager.read(id, self.node_bytes)?;
         BeNode::decode(&buf).map_err(|e| KvError::Corrupt(format!("node {id}: {e}")))
     }
 
@@ -230,13 +224,11 @@ impl BeTree {
                 self.node_bytes
             )));
         }
-        self.pager
-            .write(id, node.encode(self.node_bytes))
-            .map_err(map_pager)
+        Ok(self.pager.write(id, node.encode(self.node_bytes))?)
     }
 
     fn alloc_node(&mut self) -> Result<NodeId, KvError> {
-        self.pager.alloc(self.node_bytes as u64).map_err(map_pager)
+        Ok(self.pager.alloc(self.node_bytes as u64)?)
     }
 
     // ------------------------------------------------------------------
@@ -1162,26 +1154,11 @@ impl BeTree {
             }
         }
     }
+}
 
-    /// Reset per-op cost accounting and snapshot the pager counters. Called
-    /// at the start of every `Dictionary` operation so a failed op reports
-    /// zero cost instead of the previous op's stale numbers.
-    fn begin_op(&mut self) -> dam_cache::CostSnapshot {
-        self.last_cost = OpCost::default();
-        self.pager.snapshot()
-    }
-
-    fn finish_op(&mut self, snap: &dam_cache::CostSnapshot) {
-        let d = self.pager.cost_since(snap);
-        self.last_cost = OpCost {
-            ios: d.ios,
-            bytes_read: d.bytes_read,
-            bytes_written: d.bytes_written,
-            io_time_ns: d.io_time_ns,
-        };
-        if let Some(o) = &self.obs {
-            o.record_pager(&self.pager.counters());
-        }
+impl PagedCost for BeTree {
+    fn cost_parts(&mut self) -> (&Pager, &mut OpCost, Option<&Obs>) {
+        (&self.pager, &mut self.last_cost, self.obs.as_ref())
     }
 }
 

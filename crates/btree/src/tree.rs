@@ -2,10 +2,10 @@
 //! and per-operation cost accounting.
 
 use crate::node::{Node, NodeId, LEAF_ENTRY_OVERHEAD, NODE_HEADER_BYTES};
-use dam_cache::{Pager, PagerError};
+use dam_cache::Pager;
 use dam_kv::codec::{Reader, Writer};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
-use dam_obs::Obs;
+use dam_obs::{Obs, PagedCost};
 use dam_storage::SharedDevice;
 
 /// Bytes reserved at device offset 0 for the superblock.
@@ -35,13 +35,6 @@ impl BTreeConfig {
     }
 }
 
-fn map_pager(e: PagerError) -> KvError {
-    match e {
-        PagerError::Io(io) => KvError::Storage(io.to_string()),
-        other => KvError::Storage(other.to_string()),
-    }
-}
-
 /// An on-disk B-tree (see crate docs).
 pub struct BTree {
     pager: Pager,
@@ -67,7 +60,7 @@ impl BTree {
             return Err(KvError::Config("bulk_fill must be in [0.5, 1.0]".into()));
         }
         let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
-        let root = pager.alloc(cfg.node_bytes as u64).map_err(map_pager)?;
+        let root = pager.alloc(cfg.node_bytes as u64)?;
         let mut tree = BTree {
             pager,
             cfg,
@@ -113,15 +106,13 @@ impl BTree {
             )));
         }
         let image = dam_kv::codec::frame_into_slot(&payload, SUPERBLOCK_BYTES as usize);
-        self.pager.write_through(0, image).map_err(map_pager)
+        Ok(self.pager.write_through(0, image)?)
     }
 
     /// Reopen a tree previously [`BTree::persist`]ed on `device`.
     pub fn open(device: SharedDevice, cfg: BTreeConfig) -> Result<Self, KvError> {
         let mut pager = Pager::new(device, cfg.cache_bytes, SUPERBLOCK_BYTES);
-        let image = pager
-            .read(0, SUPERBLOCK_BYTES as usize)
-            .map_err(map_pager)?;
+        let image = pager.read(0, SUPERBLOCK_BYTES as usize)?;
         let corrupt = |what: &str| KvError::Corrupt(format!("superblock: {what}"));
         let payload = dam_kv::codec::unframe(&image).map_err(|e| corrupt(&e.to_string()))?;
         let mut r = Reader::new(payload);
@@ -190,19 +181,16 @@ impl BTree {
 
     /// Write all dirty nodes to the device.
     pub fn flush(&mut self) -> Result<(), KvError> {
-        self.pager.flush().map_err(map_pager)
+        Ok(self.pager.flush()?)
     }
 
     /// Flush and empty the cache (cold-cache experiment reset).
     pub fn drop_cache(&mut self) -> Result<(), KvError> {
-        self.pager.drop_cache().map_err(map_pager)
+        Ok(self.pager.drop_cache()?)
     }
 
     fn read_node(&mut self, id: NodeId) -> Result<Node, KvError> {
-        let buf = self
-            .pager
-            .read(id, self.cfg.node_bytes)
-            .map_err(map_pager)?;
+        let buf = self.pager.read(id, self.cfg.node_bytes)?;
         Node::decode(&buf).map_err(|e| KvError::Corrupt(format!("node {id}: {e}")))
     }
 
@@ -215,13 +203,11 @@ impl BTree {
             )));
         }
         let buf = node.encode(self.cfg.node_bytes);
-        self.pager.write(id, buf).map_err(map_pager)
+        Ok(self.pager.write(id, buf)?)
     }
 
     fn alloc_node(&mut self) -> Result<NodeId, KvError> {
-        self.pager
-            .alloc(self.cfg.node_bytes as u64)
-            .map_err(map_pager)
+        Ok(self.pager.alloc(self.cfg.node_bytes as u64)?)
     }
 
     fn free_node(&mut self, id: NodeId) {
@@ -824,26 +810,11 @@ impl BTree {
             }
         }
     }
+}
 
-    /// Reset per-op cost accounting and snapshot the pager counters. Called
-    /// at the start of every `Dictionary` operation so a failed op reports
-    /// zero cost instead of the previous op's stale numbers.
-    fn begin_op(&mut self) -> dam_cache::CostSnapshot {
-        self.last_cost = OpCost::default();
-        self.pager.snapshot()
-    }
-
-    fn finish_op(&mut self, snap: &dam_cache::CostSnapshot) {
-        let d = self.pager.cost_since(snap);
-        self.last_cost = OpCost {
-            ios: d.ios,
-            bytes_read: d.bytes_read,
-            bytes_written: d.bytes_written,
-            io_time_ns: d.io_time_ns,
-        };
-        if let Some(o) = &self.obs {
-            o.record_pager(&self.pager.counters());
-        }
+impl PagedCost for BTree {
+    fn cost_parts(&mut self) -> (&Pager, &mut OpCost, Option<&Obs>) {
+        (&self.pager, &mut self.last_cost, self.obs.as_ref())
     }
 }
 

@@ -58,6 +58,13 @@ impl std::fmt::Display for PagerError {
 
 impl std::error::Error for PagerError {}
 
+/// A dictionary sees every pager failure as a storage error.
+impl From<PagerError> for dam_kv::KvError {
+    fn from(e: PagerError) -> Self {
+        dam_kv::KvError::Storage(e.to_string())
+    }
+}
+
 /// Cumulative pager counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagerCounters {

@@ -6,7 +6,7 @@
 //! single IO and point reads fetch single blocks through
 //! [`dam_cache::Pager::read_within`].
 
-use dam_cache::{Pager, PagerError};
+use dam_cache::Pager;
 use dam_kv::codec::{frame, unframe, CodecError, Reader, Writer};
 use dam_kv::KvError;
 
@@ -41,10 +41,6 @@ pub struct SsTable {
     pub entries: u64,
     /// Creation stamp; larger = newer (orders overlapping L0 runs).
     pub stamp: u64,
-}
-
-fn map_pager(e: PagerError) -> KvError {
-    KvError::Storage(e.to_string())
 }
 
 fn map_codec(e: CodecError) -> KvError {
@@ -141,7 +137,7 @@ impl SsTable {
         flush(&mut cur, &mut image, &mut blocks);
 
         let data_len = image.len() as u64;
-        let base = pager.alloc(data_len).map_err(map_pager)?;
+        let base = pager.alloc(data_len)?;
         // One sequential *durable* write for the whole table — the LSM's
         // write pattern (LevelDB fsyncs each SSTable), and the reason large
         // SSTables amortize the setup cost.
@@ -149,7 +145,7 @@ impl SsTable {
             // Don't leak the extent on a failed write; the caller may
             // retry the whole build once the fault clears.
             pager.free(base, data_len);
-            return Err(map_pager(e));
+            return Err(e.into());
         }
         Ok(SsTable {
             base,
@@ -200,14 +196,12 @@ impl SsTable {
     /// Read and decode block `i` (one sub-range IO / cache hit).
     pub fn read_block(&self, pager: &mut Pager, i: usize) -> Result<Vec<RunEntry>, KvError> {
         let b = &self.blocks[i];
-        let buf = pager
-            .read_within(
-                self.base,
-                self.data_len as usize,
-                b.offset as usize,
-                b.len as usize,
-            )
-            .map_err(map_pager)?;
+        let buf = pager.read_within(
+            self.base,
+            self.data_len as usize,
+            b.offset as usize,
+            b.len as usize,
+        )?;
         let payload = unframe(&buf).map_err(map_codec)?;
         decode_block(payload).map_err(map_codec)
     }

@@ -2,10 +2,10 @@
 //! non-overlapping levels, with size-triggered compaction.
 
 use crate::sstable::{BlockMeta, RunEntry, SsTable};
-use dam_cache::{Pager, PagerError};
+use dam_cache::Pager;
 use dam_kv::codec::{frame, unframe, CodecError, Reader, Writer, FRAME_OVERHEAD};
 use dam_kv::{BatchOp, Dictionary, KvError, OpCost};
-use dam_obs::Obs;
+use dam_obs::{Obs, PagedCost};
 use dam_storage::{SharedDevice, SimTime};
 use std::collections::BTreeMap;
 
@@ -46,10 +46,6 @@ impl LsmConfig {
             cache_bytes,
         }
     }
-}
-
-fn map_pager(e: PagerError) -> KvError {
-    KvError::Storage(e.to_string())
 }
 
 /// A leveled LSM-tree (see crate docs).
@@ -227,7 +223,7 @@ impl LsmTree {
     /// reconstructs the tree.
     pub fn persist(&mut self) -> Result<(), KvError> {
         self.flush_memtable()?;
-        self.pager.flush().map_err(map_pager)?;
+        self.pager.flush()?;
         let mut w = Writer::with_capacity(4096);
         w.put_u32(MANIFEST_MAGIC);
         w.put_u8(MANIFEST_VERSION);
@@ -258,7 +254,7 @@ impl LsmTree {
         // Write only the used prefix: `unframe` on open reads the stored
         // length, and the device zero-fills the rest of the region.
         let image = frame(&payload);
-        self.pager.write_through(0, image).map_err(map_pager)
+        Ok(self.pager.write_through(0, image)?)
     }
 
     /// The configuration in use.
@@ -280,12 +276,12 @@ impl LsmTree {
 
     /// Flush dirty cache pages (not the memtable).
     pub fn flush(&mut self) -> Result<(), KvError> {
-        self.pager.flush().map_err(map_pager)
+        Ok(self.pager.flush()?)
     }
 
     /// Flush and empty the cache.
     pub fn drop_cache(&mut self) -> Result<(), KvError> {
-        self.pager.drop_cache().map_err(map_pager)
+        Ok(self.pager.drop_cache()?)
     }
 
     fn stamp(&mut self) -> u64 {
@@ -647,26 +643,11 @@ impl LsmTree {
         }
         Ok(all.len() as u64)
     }
+}
 
-    /// Reset per-op cost accounting and snapshot the pager counters. Called
-    /// at the start of every `Dictionary` operation so a failed op reports
-    /// zero cost instead of the previous op's stale numbers.
-    fn begin_op(&mut self) -> dam_cache::CostSnapshot {
-        self.last_cost = OpCost::default();
-        self.pager.snapshot()
-    }
-
-    fn finish_op(&mut self, snap: &dam_cache::CostSnapshot) {
-        let d = self.pager.cost_since(snap);
-        self.last_cost = OpCost {
-            ios: d.ios,
-            bytes_read: d.bytes_read,
-            bytes_written: d.bytes_written,
-            io_time_ns: d.io_time_ns,
-        };
-        if let Some(o) = &self.obs {
-            o.record_pager(&self.pager.counters());
-        }
+impl PagedCost for LsmTree {
+    fn cost_parts(&mut self) -> (&Pager, &mut OpCost, Option<&Obs>) {
+        (&self.pager, &mut self.last_cost, self.obs.as_ref())
     }
 }
 

@@ -114,6 +114,12 @@ mod tests {
         assert_eq!(snap.counters.get("device.read.count"), Some(&1));
         assert_eq!(snap.counters.get("device.write.bytes"), Some(&512));
         assert_eq!(snap.hists.get("device.io.latency_ns").unwrap().count, 2);
+        let ring: Vec<_> = obs
+            .recent_ios()
+            .iter()
+            .map(|io| (io.is_write, io.bytes))
+            .collect();
+        assert_eq!(ring, vec![(true, 512), (false, 256)]);
     }
 
     #[test]
@@ -125,6 +131,7 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counters.get("device.errors"), Some(&1));
         assert_eq!(snap.device.ios, 0);
+        assert!(obs.recent_ios().is_empty());
     }
 
     #[test]

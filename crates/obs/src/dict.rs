@@ -12,9 +12,45 @@
 //!
 //! Amplification in the snapshot is then `device bytes / logical bytes`
 //! per direction — the flash-evaluation literature's first-class metric.
+//!
+//! [`PagedCost`] is the other half: how a paged dictionary fills the
+//! [`OpCost`] it reports, from its pager's counters.
 
 use crate::registry::Obs;
+use dam_cache::{CostSnapshot, Pager};
 use dam_kv::{Dictionary, KvError, KvPair, OpCost};
+
+/// Per-operation cost accounting for a dictionary over one [`Pager`]:
+/// bracket each operation with [`begin_op`](Self::begin_op) and
+/// [`finish_op`](Self::finish_op). An operation that fails in between
+/// leaves a zero cost.
+pub trait PagedCost {
+    /// The pager, the last operation's cost, and the registry (if any).
+    fn cost_parts(&mut self) -> (&Pager, &mut OpCost, Option<&Obs>);
+
+    /// Zero the last operation's cost and snapshot the pager.
+    fn begin_op(&mut self) -> CostSnapshot {
+        let (pager, last, _) = self.cost_parts();
+        *last = OpCost::default();
+        pager.snapshot()
+    }
+
+    /// Record the pager cost since `snap` as the last operation's cost and
+    /// publish the pager's counters to the registry.
+    fn finish_op(&mut self, snap: &CostSnapshot) {
+        let (pager, last, obs) = self.cost_parts();
+        let d = pager.cost_since(snap);
+        *last = OpCost {
+            ios: d.ios,
+            bytes_read: d.bytes_read,
+            bytes_written: d.bytes_written,
+            io_time_ns: d.io_time_ns,
+        };
+        if let Some(o) = obs {
+            o.record_pager(&pager.counters());
+        }
+    }
+}
 
 /// A [`Dictionary`] wrapper that instruments every operation.
 pub struct ObservedDict<D: Dictionary> {

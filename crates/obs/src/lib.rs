@@ -20,10 +20,9 @@
 //!   sees is attributed to the innermost active span and, through the
 //!   nearest enclosing span with a level, to a per-level IO tally.
 //! * [`ObservedDevice`] — a [`dam_storage::BlockDevice`] wrapper that feeds
-//!   the registry. It unifies what `TracingDevice` (recent-IO ring),
-//!   `DeviceStats` (totals), and the `FaultInjector`/`RetryingDevice`
-//!   counters (ingested via [`Obs::record_fault_stats`] /
-//!   [`Obs::record_retry_stats`]) each reported separately.
+//!   the registry: device totals and a recent-IO ring for model costing.
+//!   The `FaultInjector`/`RetryingDevice` counters join the same registry
+//!   through [`Obs::record_fault_stats`] / [`Obs::record_retry_stats`].
 //! * [`ObservedDict`] — a [`dam_kv::Dictionary`] wrapper opening a root
 //!   span per operation and recording per-op latency histograms and the
 //!   logical byte counters that read/write amplification is derived from.
@@ -45,7 +44,7 @@ pub mod snapshot;
 pub mod span;
 
 pub use device::ObservedDevice;
-pub use dict::ObservedDict;
+pub use dict::{ObservedDict, PagedCost};
 pub use registry::{IoTally, Obs};
 pub use residual::{ModelParams, ResidualReport};
 pub use snapshot::{validate_snapshot_json, HistSummary, MetricsSnapshot, SpanSummary};

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 /// Children kept verbatim per span before folding the rest into totals.
 const MAX_CHILDREN: usize = 64;
-/// Recent-IO ring capacity (subsumes `TracingDevice` for model checks).
+/// Recent-IO ring capacity (the IO trace that model checks cost).
 const RECENT_CAP: usize = 4096;
 
 /// An IO tally: count, bytes by direction, and simulated time.

@@ -24,8 +24,10 @@
 //! * [`concurrency`] — a closed-loop multi-client simulator (the Fig 1
 //!   experiment driver).
 //! * [`sched`] — the PDAM step scheduler: `P` slots per step, read
-//!   coalescing, and max-min fair dispatch across clients (the layer
-//!   `dam-serve` builds on).
+//!   coalescing, and max-min fair dispatch across clients. It times both
+//!   multi-client Lemma 13 tables: `dam-serve`'s engine and `dam-veb`'s
+//!   simulator, whose chains carry read-ahead as `max(1, P/k)`-block runs
+//!   (exact, since every simulated client always has a query in flight).
 //! * [`profiles`] — parameter sets for the paper's physical devices.
 
 pub mod clock;
@@ -40,7 +42,6 @@ pub mod retry;
 pub mod sched;
 pub mod ssd;
 pub mod store;
-pub mod trace;
 
 pub use clock::{SimDuration, SimTime};
 pub use concurrency::{run_closed_loop, ClosedLoopConfig, ClosedLoopResult};
@@ -54,4 +55,3 @@ pub use sched::{
     BlockAddr, BlockReq, IoChain, PdamScheduler, SchedConfig, SchedStats, StepOutcome, StepRecord,
 };
 pub use ssd::{SsdDevice, SsdProfile};
-pub use trace::{TraceEntry, TraceKind, TracingDevice};

@@ -15,9 +15,12 @@
 //! * [`node`] — intra-node search over vEB-laid-out and sorted-array pivot
 //!   blocks, reporting the *block demand sequence* of a search,
 //! * [`sim`] — the PDAM time-step simulator: `k` closed-loop query clients
-//!   share `P` block-slots per step, with read-ahead expansion of unused
-//!   slots ("if there are any unused IO slots in that time step, then it
-//!   expands the requests to perform read-ahead").
+//!   share `P` block-slots per step on `dam_storage`'s step scheduler. Each
+//!   probe is read as a run of `max(1, P/k)` contiguous blocks — the paper's
+//!   read-ahead ("if there are any unused IO slots in that time step, then
+//!   it expands the requests to perform read-ahead"). The width is exact
+//!   because every client always has a query in flight, so all `k` share
+//!   every step.
 
 pub mod layout;
 pub mod node;

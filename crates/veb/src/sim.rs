@@ -1,13 +1,20 @@
 //! The PDAM time-step simulator of §8.
 //!
 //! `k` closed-loop clients run random point queries against a static search
-//! tree. Each time step the device serves up to `P` block fetches
-//! (Definition 1). Slots are divided round-robin among clients with pending
-//! demands; leftover slots *expand* granted requests into contiguous
-//! read-ahead runs — the §8 prefetching story. A client advances through
-//! comparisons for free once the blocks it needs are resident; crossing to
-//! the next tree node drops its residency set (the cache serves one node at
-//! a time per client, as in the paper's walk-through).
+//! tree. Each query becomes an [`IoChain`] — one wave per read, in
+//! root-to-leaf order — and the shared [`PdamScheduler`] times the chains:
+//! each step it serves up to `P` block fetches (Definition 1), split
+//! round-robin among the clients. A wave is a contiguous *read-ahead run* of
+//! `max(1, P/k)` blocks starting at the probe's block — the §8 prefetching
+//! story, where unused slots expand a request. Within a node, a probe whose
+//! block an earlier run already covers costs nothing; crossing to the next
+//! node forgets those runs (the cache serves one node at a time per client,
+//! as in the paper's walk-through).
+//!
+//! The run width is exact, not an approximation of per-step slack: every
+//! client always has a query in flight (the next one is submitted the step
+//! the previous completes), so all `k` clients are active on every step and
+//! each one's share of the `P` slots is always `max(1, P/k)`.
 //!
 //! Three designs compete (the §8 narrative):
 //!
@@ -17,7 +24,7 @@
 
 use crate::node::{IntraNode, NodeLayout};
 use dam_stats::{derive_seed, SplitMix64};
-use std::collections::HashSet;
+use dam_storage::{BlockAddr, BlockReq, IoChain, PdamScheduler, SchedConfig};
 
 /// Tree/node design under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,186 +72,93 @@ pub struct PdamSimResult {
     pub blocks_fetched: u64,
 }
 
-/// Height (levels of pivots) of a fat node holding `node_blocks · block_pivots`
-/// pivots: the tallest complete tree that fits.
-fn fat_node_height(cfg: &PdamSimConfig) -> u32 {
-    let pivots = cfg.node_blocks * cfg.block_pivots;
-    let mut h = 1u32;
-    while (1u64 << (h + 1)) - 1 <= pivots {
-        h += 1;
-    }
-    h
+/// Height (levels of pivots) of a node holding `pivots` pivots: the tallest
+/// complete tree that fits, and at least one level.
+fn node_height(pivots: u64) -> u32 {
+    (pivots + 1).ilog2().max(1)
 }
 
-fn small_node_height(cfg: &PdamSimConfig) -> u32 {
-    let mut h = 1u32;
-    while (1u64 << (h + 1)) - 1 <= cfg.block_pivots {
-        h += 1;
-    }
-    h
-}
-
-/// Per-client traversal state.
-struct ClientState {
-    key: u64,
-    lo: u64,
-    hi: u64,
-    node_height: u32,
-    demands: Vec<u64>,
-    resident: HashSet<u64>,
-    steps: u64,
-    completed: u64,
-    total_query_steps: u64,
-    rng: SplitMix64,
-}
-
-impl ClientState {
-    fn new(cfg: &PdamSimConfig, seed: u64) -> ClientState {
-        let mut c = ClientState {
-            key: 0,
-            lo: 0,
-            hi: cfg.n_items,
-            node_height: 1,
-            demands: Vec::new(),
-            resident: HashSet::new(),
-            steps: 0,
-            completed: 0,
-            total_query_steps: 0,
-            rng: SplitMix64::new(seed),
-        };
-        c.start_query(cfg);
-        c
-    }
-
-    fn design_params(cfg: &PdamSimConfig) -> (u32, NodeLayout) {
-        match cfg.design {
-            TreeDesign::FatVeb => (fat_node_height(cfg), NodeLayout::Veb),
-            TreeDesign::FatSorted => (fat_node_height(cfg), NodeLayout::Sorted),
-            TreeDesign::SmallNodes => (small_node_height(cfg), NodeLayout::Veb),
-        }
-    }
-
-    fn start_query(&mut self, cfg: &PdamSimConfig) {
-        self.key = self.rng.below(cfg.n_items);
-        self.lo = 0;
-        self.hi = cfg.n_items;
-        self.steps = 0;
-        self.enter_node(cfg);
-    }
-
-    /// Set up demands for the node covering `[lo, hi)`.
-    fn enter_node(&mut self, cfg: &PdamSimConfig) {
-        self.resident.clear();
-        let span = self.hi - self.lo;
-        if span <= cfg.block_pivots.max(2) {
-            // Final leaf block: demand exactly one block fetch for the leaf.
-            self.node_height = 0;
-            self.demands = vec![0];
-            return;
-        }
-        let (max_h, layout) = Self::design_params(cfg);
-        let mut h = max_h.max(1);
-        while h > 1 && (span >> h) == 0 {
+/// The IO chain of one query for `key`: per node on the root-to-leaf path,
+/// one wave of `run` contiguous blocks for each probe block not already
+/// covered by an earlier run in that node; then the leaf, one wave of `run`
+/// blocks from block 0. Block numbers are node-relative; `space` keeps them
+/// from coalescing with another client's.
+fn query_chain(cfg: &PdamSimConfig, space: u32, key: u64, run: u64) -> IoChain {
+    let (node_pivots, layout) = match cfg.design {
+        TreeDesign::FatVeb => (cfg.node_blocks * cfg.block_pivots, NodeLayout::Veb),
+        TreeDesign::FatSorted => (cfg.node_blocks * cfg.block_pivots, NodeLayout::Sorted),
+        TreeDesign::SmallNodes => (cfg.block_pivots, NodeLayout::Veb),
+    };
+    let max_h = node_height(node_pivots);
+    let wave = |first: u64| {
+        (first..first + run)
+            .map(|block| BlockReq {
+                addr: BlockAddr { space, block },
+                write: false,
+            })
+            .collect()
+    };
+    let mut chain = IoChain::empty();
+    let (mut lo, mut hi) = (0, cfg.n_items);
+    while hi - lo > cfg.block_pivots {
+        let width = hi - lo;
+        let mut h = max_h;
+        while h > 1 && (width >> h) == 0 {
             h -= 1;
         }
-        self.node_height = h;
-        let node = IntraNode::build(self.lo, self.hi, h, layout);
-        let (_, blocks) = node.block_demands(self.key, cfg.block_pivots);
-        self.demands = blocks;
-    }
-
-    /// Consume resident blocks: advance through demands whose blocks are
-    /// resident; descend to the next node (or finish the query) when the
-    /// current node's demands are exhausted. Returns queries completed.
-    fn advance(&mut self, cfg: &PdamSimConfig) -> u64 {
-        let mut finished = 0u64;
-        loop {
-            while let Some(&b) = self.demands.first() {
-                if self.resident.contains(&b) {
-                    self.demands.remove(0);
-                } else {
-                    return finished;
-                }
+        let node = IntraNode::build(lo, hi, h, layout);
+        let (child, blocks) = node.block_demands(key, cfg.block_pivots);
+        let mut runs = Vec::new();
+        for b in blocks {
+            if !runs.iter().any(|&first| (first..first + run).contains(&b)) {
+                chain.push_wave(wave(b));
+                runs.push(b);
             }
-            // Node traversed.
-            if self.node_height == 0 {
-                // Leaf read: query complete.
-                self.completed += 1;
-                self.total_query_steps += self.steps;
-                finished += 1;
-                self.start_query(cfg);
-                continue;
-            }
-            // Descend: recompute the child range.
-            let (_, layout) = Self::design_params(cfg);
-            let node = IntraNode::build(self.lo, self.hi, self.node_height, layout);
-            let (child, _) = node.search(self.key);
-            let children = 1u64 << self.node_height;
-            let width = self.hi - self.lo;
-            let new_lo = self.lo + (width * child) / children;
-            let new_hi = self.lo + (width * (child + 1)) / children;
-            self.lo = new_lo;
-            self.hi = new_hi.max(new_lo + 1);
-            self.enter_node(cfg);
         }
+        let children = 1u64 << h;
+        let child_lo = lo + (width * child) / children;
+        hi = (lo + (width * (child + 1)) / children).max(child_lo + 1);
+        lo = child_lo;
     }
+    chain.push_wave(wave(0));
+    chain
 }
 
 /// Run the simulator; deterministic for a given config.
 pub fn run_pdam_sim(cfg: &PdamSimConfig) -> PdamSimResult {
     assert!(cfg.p >= 1 && cfg.clients >= 1 && cfg.steps >= 1);
     assert!(cfg.block_pivots >= 2 && cfg.n_items >= 4);
-    let mut clients: Vec<ClientState> = (0..cfg.clients)
-        .map(|i| ClientState::new(cfg, derive_seed(cfg.seed, i as u64)))
+    let run = (cfg.p / cfg.clients).max(1) as u64;
+    let mut sched = PdamScheduler::new(SchedConfig {
+        p: cfg.p,
+        clients: cfg.clients,
+        record_steps: false,
+    });
+    let mut rngs: Vec<SplitMix64> = (0..cfg.clients)
+        .map(|i| SplitMix64::new(derive_seed(cfg.seed, i as u64)))
         .collect();
+    let mut submit = |sched: &mut PdamScheduler, c: usize| {
+        let key = rngs[c].below(cfg.n_items);
+        sched.submit(c, query_chain(cfg, c as u32, key, run));
+    };
+    for c in 0..cfg.clients {
+        submit(&mut sched, c);
+    }
+    let mut started = vec![0u64; cfg.clients];
     let mut completed = 0u64;
-    let mut blocks_fetched = 0u64;
-    let mut rr = 0usize; // round-robin fairness cursor
-
-    for _ in 0..cfg.steps {
-        // Let everyone consume what is already resident.
-        for c in clients.iter_mut() {
-            completed += c.advance(cfg);
-        }
-        // Grant the P slots round-robin among clients with demands,
-        // with read-ahead expansion of each grant.
-        let mut slots = cfg.p;
-        let active: Vec<usize> = (0..clients.len())
-            .map(|i| (rr + i) % clients.len())
-            .filter(|&i| !clients[i].demands.is_empty())
-            .collect();
-        rr = (rr + 1) % clients.len().max(1);
-        if !active.is_empty() {
-            // First pass: one demanded block per active client.
-            let per_client_extra = slots.saturating_sub(active.len()) / active.len();
-            for &i in &active {
-                if slots == 0 {
-                    break;
-                }
-                let c = &mut clients[i];
-                let b = *c.demands.first().expect("active implies demand");
-                c.resident.insert(b);
-                slots -= 1;
-                blocks_fetched += 1;
-                // Read-ahead: expand this request into a contiguous run.
-                let mut run = 0usize;
-                while run < per_client_extra && slots > 0 {
-                    let nb = b + 1 + run as u64;
-                    c.resident.insert(nb);
-                    slots -= 1;
-                    blocks_fetched += 1;
-                    run += 1;
-                }
+    let mut total_steps = 0u64;
+    for step in 0..cfg.steps {
+        for (c, _) in sched.step().completed {
+            // A query that completes on the last step is not counted: its
+            // client would only see the result on the step after.
+            if step + 1 < cfg.steps {
+                completed += 1;
+                total_steps += step + 1 - started[c];
             }
-        }
-        // Advance steps on all clients with in-flight queries.
-        for c in clients.iter_mut() {
-            c.steps += 1;
+            started[c] = step + 1;
+            submit(&mut sched, c);
         }
     }
-    let total_steps: u64 = clients.iter().map(|c| c.total_query_steps).sum();
-    let total_done: u64 = clients.iter().map(|c| c.completed).sum();
-    debug_assert_eq!(total_done, completed);
     PdamSimResult {
         queries_completed: completed,
         throughput: completed as f64 / cfg.steps as f64,
@@ -253,7 +167,7 @@ pub fn run_pdam_sim(cfg: &PdamSimConfig) -> PdamSimResult {
         } else {
             f64::INFINITY
         },
-        blocks_fetched,
+        blocks_fetched: sched.stats().slots_used,
     }
 }
 
@@ -383,5 +297,56 @@ mod tests {
             r.queries_completed
         );
         assert!(r.mean_steps_per_query.is_finite());
+    }
+
+    #[test]
+    fn known_answers() {
+        // Exact results behind the Lemma 13 tables in EXPERIMENTS.md: any
+        // change to how queries are chained or timed shows up here first.
+        use TreeDesign::*;
+        #[rustfmt::skip]
+        let expected = [
+            (FatVeb, 8, 1, 499, 16000, 0.2495, 4.0),
+            (FatVeb, 8, 3, 988, 12000, 0.494, 6.063765182186235),
+            (FatVeb, 8, 8, 2335, 16000, 1.1675, 6.840256959314775),
+            (FatVeb, 8, 16, 2330, 16000, 1.165, 13.670815450643778),
+            (FatVeb, 1, 3, 290, 2000, 0.145, 20.555172413793102),
+            (FatSorted, 8, 1, 333, 16000, 0.1665, 6.0),
+            (FatSorted, 8, 3, 792, 12000, 0.396, 7.558080808080808),
+            (FatSorted, 8, 8, 1675, 16000, 0.8375, 9.520597014925373),
+            (FatSorted, 8, 16, 1673, 16000, 0.8365, 19.01255230125523),
+            (SmallNodes, 8, 1, 399, 16000, 0.1995, 5.0),
+            (SmallNodes, 8, 3, 1197, 12000, 0.5985, 5.0),
+            (SmallNodes, 8, 8, 3192, 16000, 1.596, 5.0),
+            (SmallNodes, 8, 16, 3192, 16000, 1.596, 9.988721804511279),
+        ];
+        for (design, p, clients, done, fetched, throughput, mean_steps) in expected {
+            let cfg = PdamSimConfig {
+                p,
+                clients,
+                design,
+                ..base_cfg()
+            };
+            assert_eq!(
+                run_pdam_sim(&cfg),
+                PdamSimResult {
+                    queries_completed: done,
+                    throughput,
+                    mean_steps_per_query: mean_steps,
+                    blocks_fetched: fetched,
+                },
+                "{cfg:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn node_height_is_tallest_complete_tree() {
+        assert_eq!(node_height(0), 1);
+        assert_eq!(node_height(2), 1);
+        assert_eq!(node_height(3), 2);
+        assert_eq!(node_height(64), 6);
+        assert_eq!(node_height(511), 9);
+        assert_eq!(node_height(512), 9);
     }
 }

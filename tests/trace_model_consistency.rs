@@ -6,14 +6,14 @@
 use refined_dam::models::conversions;
 use refined_dam::prelude::*;
 use refined_dam::storage::profiles;
-use refined_dam::storage::TracingDevice;
 
 #[test]
 fn btree_workload_trace_obeys_affine_model_and_lemma1() {
     let profile = profiles::wd_black_1tb_2011();
     let alpha = profile.alpha_per_byte();
     let setup_s = profile.expected_setup_s();
-    let mut tracer = TracingDevice::new(HddDevice::new(profile, 99));
+    let obs = Obs::new();
+    let mut tracer = ObservedDevice::new(HddDevice::new(profile, 99), obs.clone());
 
     // Drive a raw IO workload shaped like a B-tree query phase: descents of
     // 3 node reads (64 KiB each) at random offsets, plus periodic leaf
@@ -36,8 +36,12 @@ fn btree_workload_trace_obeys_affine_model_and_lemma1() {
         }
     }
 
-    let sizes = tracer.io_sizes();
-    assert_eq!(sizes.len(), 300 * 3 + 75);
+    // The recent-IO ring (4096 entries) holds the whole trace, and its
+    // latencies account for every simulated nanosecond (IOs ran back to back).
+    let ios = obs.recent_ios();
+    assert_eq!(ios.len(), 300 * 3 + 75);
+    assert_eq!(ios.iter().map(|io| io.latency_ns).sum::<u64>(), now.0);
+    let sizes: Vec<f64> = ios.iter().map(|io| io.bytes as f64).collect();
 
     // (a) Affine prediction of total time: sum of (1 + alpha*x) * s.
     let affine = Affine::new(alpha);
@@ -57,11 +61,10 @@ fn btree_workload_trace_obeys_affine_model_and_lemma1() {
 #[test]
 fn tree_issued_ios_are_node_sized() {
     // The whole premise of the node-size experiments: every device IO a
-    // B-tree issues is exactly one node. Verify against the recorded trace.
+    // B-tree issues is exactly one node. Verify against the device counters.
     let profile = profiles::toshiba_dt01aca050();
     let node_bytes = 32 * 1024usize;
-    let tracer = TracingDevice::new(HddDevice::new(profile, 5));
-    let device = SharedDevice::new(Box::new(tracer));
+    let device = SharedDevice::new(Box::new(HddDevice::new(profile, 5)));
 
     let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..20_000u64)
         .map(|i| (refined_dam::kv::key_from_u64(i).to_vec(), vec![3u8; 100]))
