@@ -1,6 +1,6 @@
 //! The per-table / per-figure experiment runners (see DESIGN.md §4 for the
-//! index). Each returns structured rows; the `src/bin/*` printers render
-//! them in the paper's format.
+//! index). Each returns structured rows; [`crate::report`] renders them in
+//! the paper's format.
 //!
 //! Grid-shaped experiments (node-size sweeps, per-device fits, client
 //! sweeps, ablation arms) run on the deterministic parallel
@@ -1128,9 +1128,9 @@ pub struct ServeSweepRow {
 /// dictionaries: `k` closed-loop clients over hash shards, one PDAM device
 /// with slot budget `P`, read-heavy point ops. Unlike [`lemma13`] (which
 /// drives the §8 layout *simulator*), every op here executes against a
-/// real tree; the scheduler re-times the captured block IOs. Total op
-/// count is held roughly constant across `k` so runtime stays flat and
-/// `ops/steps` is comparable down a column.
+/// real tree; the scheduler re-times the captured block IOs. Every client
+/// issues `max(ops / 2, 20)` ops (200 at the default scale), so a run's
+/// total op count grows with `k`.
 pub fn serve_sweep(scale: &Scale) -> Vec<ServeSweepRow> {
     use dam_serve::{run_with_obs, ServeConfig, ServeStructure};
     let p = 8usize;
@@ -1138,7 +1138,6 @@ pub fn serve_sweep(scale: &Scale) -> Vec<ServeSweepRow> {
     // IO-bound on purpose: the preload must dwarf the per-shard cache or
     // every op is a cache hit and the sweep degenerates to ops/step = k.
     let preload = (scale.n_keys / 100).clamp(2_000, 8_000);
-    let total_ops = (scale.ops as usize * 8).max(160);
     let points: Vec<(ServeStructure, usize)> = ServeStructure::ALL
         .iter()
         .flat_map(|&s| [1usize, 2, 4, 8, 16].into_iter().map(move |k| (s, k)))
@@ -1152,7 +1151,7 @@ pub fn serve_sweep(scale: &Scale) -> Vec<ServeSweepRow> {
             p,
             seed: ctx.seed,
             preload_keys: preload,
-            ops_per_client: (total_ops / k).max(20),
+            ops_per_client: (scale.ops as usize / 2).max(20),
             cache_bytes: 1 << 14,
             value_bytes: 32,
             ..ServeConfig::default()

@@ -1,6 +1,7 @@
 //! Experiment regenerators: one function per table/figure in the paper's
-//! evaluation, shared by the `src/bin/*` printers, the integration tests,
-//! and EXPERIMENTS.md.
+//! evaluation ([`experiments`]), one renderer per table ([`report`]),
+//! shared by `damlab experiment <name>`, the integration tests, and
+//! EXPERIMENTS.md.
 //!
 //! Every experiment runs on simulated devices with simulated time and a
 //! fixed seed, so results are bit-reproducible. Scale knobs live in
@@ -15,6 +16,7 @@
 
 pub mod experiments;
 pub mod metrics;
+pub mod report;
 pub mod sweep;
 pub mod table;
 
@@ -70,30 +72,84 @@ impl Scale {
         }
     }
 
-    /// Read overrides from `DAM_N_KEYS`, `DAM_OPS`, `DAM_CACHE_MB`,
-    /// `DAM_SEED` environment variables.
-    pub fn from_env() -> Self {
+    /// Read overrides from the `DAM_N_KEYS`, `DAM_OPS`, `DAM_CACHE_MB` and
+    /// `DAM_SEED` environment variables. A malformed value is an error
+    /// that names the variable.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_vars(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// [`Scale::from_env`] over any variable lookup (`var(name)` is the
+    /// variable's value, `None` when unset).
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let parse = |name: &str| -> Result<Option<u64>, String> {
+            var(name)
+                .map(|v| {
+                    v.parse()
+                        .map_err(|_| format!("{name} expects an unsigned integer, got '{v}'"))
+                })
+                .transpose()
+        };
         let mut s = Scale::default();
-        if let Ok(v) = std::env::var("DAM_N_KEYS") {
-            if let Ok(n) = v.parse() {
-                s.n_keys = n;
-            }
+        if let Some(n) = parse("DAM_N_KEYS")? {
+            s.n_keys = n;
         }
-        if let Ok(v) = std::env::var("DAM_OPS") {
-            if let Ok(n) = v.parse() {
-                s.ops = n;
-            }
+        if let Some(n) = parse("DAM_OPS")? {
+            s.ops = n;
         }
-        if let Ok(v) = std::env::var("DAM_CACHE_MB") {
-            if let Ok(n) = v.parse::<u64>() {
-                s.cache_bytes = n << 20;
-            }
+        if let Some(n) = parse("DAM_CACHE_MB")? {
+            s.cache_bytes = n
+                .checked_mul(1 << 20)
+                .ok_or_else(|| format!("DAM_CACHE_MB is too large: {n}"))?;
         }
-        if let Ok(v) = std::env::var("DAM_SEED") {
-            if let Ok(n) = v.parse() {
-                s.seed = n;
-            }
+        if let Some(n) = parse("DAM_SEED")? {
+            s.seed = n;
         }
-        s
+        Ok(s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scale_from(vars: &[(&str, &str)]) -> Result<Scale, String> {
+        Scale::from_vars(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn unset_variables_keep_the_default_scale() {
+        assert_eq!(scale_from(&[]), Ok(Scale::default()));
+    }
+
+    #[test]
+    fn well_formed_variables_override_the_scale() {
+        let s = scale_from(&[
+            ("DAM_N_KEYS", "40000"),
+            ("DAM_OPS", "80"),
+            ("DAM_CACHE_MB", "2"),
+            ("DAM_SEED", "18446744073709551615"),
+        ])
+        .unwrap();
+        assert_eq!((s.n_keys, s.ops, s.cache_bytes), (40_000, 80, 2 << 20));
+        assert_eq!(s.seed, u64::MAX);
+    }
+
+    #[test]
+    fn malformed_variables_are_errors_naming_the_variable() {
+        for (name, bad) in [
+            ("DAM_N_KEYS", "4e4"),
+            ("DAM_OPS", ""),
+            ("DAM_CACHE_MB", "-1"),
+            ("DAM_SEED", "0xDA4"),
+            ("DAM_CACHE_MB", "18446744073709551615"),
+        ] {
+            let err = scale_from(&[(name, bad)]).unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
     }
 }

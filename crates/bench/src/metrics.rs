@@ -1,9 +1,9 @@
-//! Opt-in observability for the experiment binaries.
+//! Opt-in observability for the experiments.
 //!
 //! Set `DAM_METRICS=1` and every experiment device is wrapped in an
 //! [`ObservedDevice`], every measured dictionary in an [`ObservedDict`],
-//! and the binary writes a `BENCH_<name>.metrics.json` sidecar next to its
-//! table output (same schema as `dam-cli stats --json`; CI validates it
+//! and `damlab experiment <name>` writes a `BENCH_<name>.metrics.json`
+//! sidecar next to its table output (same schema as `dam-cli stats --json`; CI validates it
 //! against `schemas/metrics_schema.json`). Unset, all hooks are inert and
 //! the experiments run exactly as before.
 //!
@@ -104,8 +104,8 @@ pub fn observe(device: Box<dyn BlockDevice>) -> SharedDevice {
     }
 }
 
-/// Write the snapshot sidecar for a finished experiment binary. No-op when
-/// metrics are off.
+/// Write the snapshot sidecar `BENCH_<name>.metrics.json` for a finished
+/// experiment. No-op when metrics are off.
 pub fn export(name: &str) {
     let Some(o) = global_obs() else { return };
     let snap = o.snapshot();

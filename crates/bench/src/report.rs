@@ -1,0 +1,689 @@
+//! One renderer per paper table/figure: run the experiment at a [`Scale`]
+//! and return the table text, in the paper's format. [`EXPERIMENTS`] is
+//! the only registry: `damlab experiment <name>` looks a name up here,
+//! `damlab experiment list` prints the names, and EXPERIMENTS.md's tables
+//! are this module's output.
+
+use crate::experiments::{self, NodeSizePoint};
+use crate::table::{self, fmt_bytes};
+use crate::Scale;
+use refined_dam::models::{sensitivity, Affine, AsymmetricAffine, DictShape};
+
+/// Runs one experiment at a scale and renders its table.
+pub type Render = fn(&Scale) -> String;
+
+/// Every experiment, by CLI name, in the order `experiment list` prints.
+pub const EXPERIMENTS: &[(&str, Render)] = &[
+    ("fig1", fig1),
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("lemma1", lemma1),
+    ("thm9", thm9),
+    ("lemma13", lemma13),
+    ("optima", optima),
+    ("writeamp", writeamp),
+    ("lsm", lsm),
+    ("wod", wod),
+    ("aging", aging),
+    ("oltp-olap", oltp_olap),
+    ("serve", serve),
+    ("asymmetry", asymmetry),
+    ("cache-skew", cache_skew),
+];
+
+/// The renderer registered under `name`.
+pub fn find(name: &str) -> Option<Render> {
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, render)| render)
+}
+
+/// The registered names, comma-separated.
+pub fn names() -> String {
+    EXPERIMENTS
+        .iter()
+        .map(|(n, _)| *n)
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// The layout every renderer shares: a title line, a blank line, the
+/// table, then `footer` verbatim.
+fn titled(title: &str, headers: &[&str], rows: &[Vec<String>], footer: &str) -> String {
+    format!("{title}\n\n{}{footer}", table::render(headers, rows))
+}
+
+/// The affine line fitted through `(node bytes, query ms)`, as the paper
+/// reports under Figures 2 and 3: alpha per 4 KiB and the RMS residual
+/// (`rms_digits` decimals). Empty if the fit fails.
+fn query_fit_note(rows: &[NodeSizePoint], rms_digits: usize) -> String {
+    let xs: Vec<f64> = rows.iter().map(|p| p.node_bytes as f64).collect();
+    let ys: Vec<f64> = rows.iter().map(|p| p.query_ms).collect();
+    match refined_dam::stats::fit_line(&xs, &ys) {
+        Ok(fit) => format!(
+            "\nFitted affine line (query): alpha = {:.4e} per 4 KiB, RMS = {:.rms_digits$} ms\n",
+            fit.slope / fit.intercept * 4096.0,
+            fit.rms
+        ),
+        Err(_) => String::new(),
+    }
+}
+
+/// Figure 1: time to read a fixed volume per thread on each simulated SSD,
+/// for p = 1..64 closed-loop reader threads.
+fn fig1(scale: &Scale) -> String {
+    let rows = experiments::fig1_and_table1(scale);
+    let mut headers: Vec<String> = vec!["Device".to_string()];
+    headers.extend(rows[0].series.iter().map(|&(p, _)| format!("p={p}")));
+    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let mut row = vec![r.device.clone()];
+            row.extend(r.series.iter().map(|&(_, t)| format!("{t:.2}s")));
+            row
+        })
+        .collect();
+    titled(
+        &format!(
+            "Figure 1 — closed-loop random 64 KiB reads, {} IOs per thread",
+            scale.fig1_ios_per_client
+        ),
+        &header_refs,
+        &data,
+        "\nPDAM prediction: flat for p <= P, then linear in p.\n\
+         Paper shape: 'relatively constant until around p = 2 or 4 ... increases linearly thereafter.'\n",
+    )
+}
+
+/// Table 1: segmented linear regression over the Figure 1 series yields
+/// each device's parallelism P, saturation throughput (∝ PB), and R².
+fn table1(scale: &Scale) -> String {
+    let paper = [(3.3, 530.0), (5.5, 2500.0), (2.9, 260.0), (4.6, 520.0)];
+    let data: Vec<Vec<String>> = experiments::fig1_and_table1(scale)
+        .iter()
+        .zip(paper)
+        .map(|(r, (pp, ps))| {
+            vec![
+                r.device.clone(),
+                format!("{}", r.units),
+                format!("{:.1}", r.p),
+                format!("{pp:.1}"),
+                format!("{:.0}", r.saturation_mb_s),
+                format!("{ps:.0}"),
+                format!("{:.3}", r.r2),
+            ]
+        })
+        .collect();
+    titled(
+        "Table 1 — experimentally derived PDAM values (simulated devices)",
+        &[
+            "Device",
+            "sim units",
+            "P (fit)",
+            "P (paper)",
+            "∝PB MB/s (fit)",
+            "∝PB (paper)",
+            "R²",
+        ],
+        &data,
+        "\nPaper: R² values all within 0.1% of 1; fitted P in 2.9–5.5.\n",
+    )
+}
+
+/// Table 2: random block-aligned reads at IO sizes from one block to
+/// 16 MiB; linear regression yields s, t, and alpha per HDD.
+fn table2(scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::table2(scale)
+        .iter()
+        .map(|r| {
+            vec![
+                r.disk.clone(),
+                format!("{}", r.year),
+                format!("{:.3}", r.s),
+                format!("{:.6}", r.t_per_4k),
+                format!("{:.4}", r.alpha),
+                format!("{:.4}", r.paper_alpha),
+                format!("{:.4}", r.r2),
+            ]
+        })
+        .collect();
+    titled(
+        &format!(
+            "Table 2 — experimentally derived alpha values ({} reads per IO size, 4 KiB..16 MiB)",
+            scale.table2_reads
+        ),
+        &[
+            "Disk",
+            "Year",
+            "s (s)",
+            "t (s/4K)",
+            "α (fit)",
+            "α (paper)",
+            "R²",
+        ],
+        &data,
+        "\nPaper: R² values all within 0.1% of 1.\n",
+    )
+}
+
+/// Table 3: node-size sensitivity analysis — analytic affine costs of
+/// B-tree and Bε-tree operations as the node size grows — and the
+/// general-F row: an ε sweep at a fixed 4 MiB node (Theorem 4's
+/// trade-off).
+fn table3(_scale: &Scale) -> String {
+    let r = experiments::table3();
+    let data: Vec<Vec<String>> = r
+        .points
+        .iter()
+        .map(|p| {
+            vec![
+                fmt_bytes(p.node_bytes),
+                format!("{:.3}", p.btree_op),
+                format!("{:.4}", p.betree_sqrt_insert),
+                format!("{:.3}", p.betree_sqrt_query),
+                format!("{:.3}", p.betree_sqrt_query_naive),
+            ]
+        })
+        .collect();
+    let affine = Affine::new(r.alpha_per_byte);
+    let shape = DictShape::new(2e9, 1e4, 116.0, 24.0);
+    let eps_rows: Vec<Vec<String>> =
+        sensitivity::epsilon_sweep(&affine, &shape, 4.0 * 1024.0 * 1024.0, 9)
+            .iter()
+            .map(|p| {
+                vec![
+                    format!("{:.2}", p.epsilon),
+                    format!("{:.0}", p.fanout),
+                    format!("{:.4}", p.insert),
+                    format!("{:.3}", p.query),
+                ]
+            })
+            .collect();
+    let growth = format!(
+        "\nGrowth from half-bandwidth point to 64x that size:\n  B-tree op: {:.1}x   Bε insert: {:.1}x   Bε query (opt): {:.1}x\n",
+        r.summary.btree_growth, r.summary.betree_insert_growth, r.summary.betree_query_growth
+    );
+    let general_f = table::render(&["ε", "F", "Bε insert", "Bε query"], &eps_rows);
+    titled(
+        &format!(
+            "Table 3 — affine cost per operation vs node size (α = {:.2e}/byte, testbed disk)",
+            r.alpha_per_byte
+        ),
+        &[
+            "Node size",
+            "B-tree op",
+            "Bε insert (F=√B)",
+            "Bε query (opt)",
+            "Bε query (naive)",
+        ],
+        &data,
+        &format!(
+            "{growth}\nGeneral-F row at B = 4 MiB (Theorem 4's trade-off, affine form):\n\
+             {general_f}\
+             Paper: 'The cost for inserts and queries increases more slowly in Bε-trees than in B-trees as the node size increases.'\n"
+        ),
+    )
+}
+
+/// Figure 2: per-operation latency of a B-tree (BerkeleyDB stand-in) as a
+/// function of node size, on the simulated testbed HDD, with the affine
+/// model's fitted prediction.
+fn fig2(scale: &Scale) -> String {
+    let rows = experiments::fig2(scale);
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|p| {
+            vec![
+                fmt_bytes(p.node_bytes as f64),
+                format!("{:.2}", p.query_ms),
+                format!("{:.2}", p.insert_ms),
+                format!("{:.2}", p.predicted_query_ms),
+            ]
+        })
+        .collect();
+    titled(
+        &format!(
+            "Figure 2 — B-tree ms/op vs node size ({} keys, {} cache, {} ops/phase)",
+            scale.n_keys,
+            fmt_bytes(scale.cache_bytes as f64),
+            scale.ops
+        ),
+        &["Node size", "Query ms/op", "Insert ms/op", "Affine pred ms"],
+        &data,
+        &format!(
+            "{}Paper shape: costs grow once nodes exceed ~64 KiB, then roughly linearly with node size.\n",
+            query_fit_note(&rows, 2)
+        ),
+    )
+}
+
+/// Figure 3: per-operation latency of a Bε-tree (TokuDB stand-in, F = √B)
+/// as a function of node size, on the simulated testbed HDD.
+fn fig3(scale: &Scale) -> String {
+    let rows = experiments::fig3(scale);
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|p| {
+            vec![
+                fmt_bytes(p.node_bytes as f64),
+                format!("{:.2}", p.query_ms),
+                format!("{:.3}", p.insert_ms),
+                format!("{:.2}", p.predicted_query_ms),
+                format!("{:.3}", p.predicted_insert_ms),
+            ]
+        })
+        .collect();
+    titled(
+        &format!(
+            "Figure 3 — Bε-tree (F=√B) ms/op vs node size ({} keys, {} cache, {} ops/phase)",
+            scale.n_keys,
+            fmt_bytes(scale.cache_bytes as f64),
+            scale.ops
+        ),
+        &[
+            "Node size",
+            "Query ms/op",
+            "Insert ms/op",
+            "Pred query ms",
+            "Pred insert ms",
+        ],
+        &data,
+        &format!(
+            "{}Paper shape: much flatter than the B-tree; larger node sizes cost 'only slightly' more.\n",
+            query_fit_note(&rows, 3)
+        ),
+    )
+}
+
+/// Lemma 1: the DAM with B = 1/α approximates affine cost within 2x in
+/// both directions, on representative IO traces.
+fn lemma1(scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::lemma1(scale)
+        .iter()
+        .map(|r| {
+            vec![
+                r.trace.clone(),
+                format!("{:.1}", r.affine_cost),
+                format!("{:.1}", r.dam_cost),
+                format!("{:.3}", r.error_factor),
+                if r.holds { "yes" } else { "VIOLATED" }.into(),
+            ]
+        })
+        .collect();
+    titled(
+        "Lemma 1 — DAM (B = 1/α) vs affine cost on IO traces",
+        &[
+            "Trace",
+            "Affine cost",
+            "DAM cost",
+            "DAM/affine",
+            "within 2x",
+        ],
+        &data,
+        "\nPaper: 'the DAM approximates the IO cost on any hardware to within a factor of 2.'\n",
+    )
+}
+
+/// Theorem 9 ablation: standard (whole-node IO) vs optimized (per-child
+/// segment) Bε-tree at the same large node size.
+fn thm9(scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::thm9_ablation(scale)
+        .iter()
+        .map(|r| {
+            vec![
+                r.variant.clone(),
+                fmt_bytes(r.node_bytes as f64),
+                format!("{:.2}", r.query_ms),
+                format!("{:.3}", r.insert_ms),
+                fmt_bytes(r.query_bytes),
+            ]
+        })
+        .collect();
+    titled(
+        "Theorem 9 — standard vs optimized Bε-tree (1 MiB nodes, testbed HDD)",
+        &[
+            "Variant",
+            "Node size",
+            "Query ms/op",
+            "Insert ms/op",
+            "Bytes read/op",
+        ],
+        &data,
+        "\nPaper: the optimized organization makes 'all operations simultaneously optimal, up to lower order terms.'\n",
+    )
+}
+
+/// Lemma 13 / §8: query throughput of PDAM search-tree designs as the
+/// number of concurrent clients varies.
+fn lemma13(scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::lemma13(scale)
+        .iter()
+        .map(|r| {
+            vec![
+                format!("{}", r.clients),
+                format!("{:.4}", r.fat_veb),
+                format!("{:.4}", r.fat_sorted),
+                format!("{:.4}", r.small_nodes),
+                format!("{:.4}", r.predicted_veb),
+            ]
+        })
+        .collect();
+    titled(
+        &format!(
+            "Lemma 13 — queries per time step, P = 8, PB nodes vs B nodes ({} steps)",
+            scale.lemma13_steps
+        ),
+        &[
+            "k clients",
+            "PB vEB",
+            "PB sorted",
+            "B nodes",
+            "Lemma 13 pred",
+        ],
+        &data,
+        "\nPaper: the vEB design 'gracefully adapts when the number of clients varies over time.'\n",
+    )
+}
+
+/// Corollaries 6, 7, 11, 12: tuned node sizes and fanouts for every
+/// Table 2 disk.
+fn optima(_scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::corollary_optima()
+        .iter()
+        .map(|r| {
+            vec![
+                r.disk.clone(),
+                format!("{:.4}", r.alpha_per_4k),
+                fmt_bytes(r.half_bandwidth),
+                fmt_bytes(r.btree_point),
+                format!("{:.0}", r.betree_fanout),
+                fmt_bytes(r.betree_node),
+                format!("{:.1}x", r.insert_speedup),
+            ]
+        })
+        .collect();
+    titled(
+        "Corollary optima — tuned parameters per disk (2e9 keys, 116 B entries)",
+        &[
+            "Disk",
+            "α/4K",
+            "Cor 6: 1/α",
+            "Cor 7: B-tree B",
+            "Cor 12: F",
+            "Cor 12: Bε B",
+            "insert speedup",
+        ],
+        &data,
+        "\nPaper: 'an optimized Bε-tree node size can be nearly the square of the optimal node size for a B-tree.'\n",
+    )
+}
+
+/// Definition 3 / Lemma 3 / Theorem 4(4): measured vs predicted write
+/// amplification of random inserts.
+fn writeamp(scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::write_amp(scale)
+        .iter()
+        .map(|r| {
+            vec![
+                r.structure.clone(),
+                fmt_bytes(r.node_bytes as f64),
+                format!("{:.1}", r.measured),
+                format!("{:.1}", r.predicted),
+            ]
+        })
+        .collect();
+    titled(
+        "Write amplification — random inserts, 256 KiB nodes, testbed HDD",
+        &["Structure", "Node size", "WA (measured)", "WA (model)"],
+        &data,
+        "\nLemma 3: B-tree WA is Θ(B); Theorem 4(4): Bε-tree WA is O(B^ε · log(N/M)).\n",
+    )
+}
+
+/// The §1 LevelDB puzzle: "LevelDB's LSM-tree uses 2MiB SSTables for all
+/// workloads" — why 2 MiB? Sweep SSTable sizes on the testbed HDD and
+/// watch the affine model's answer appear.
+fn lsm(scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::lsm_sstable_size(scale)
+        .iter()
+        .map(|p| {
+            vec![
+                fmt_bytes(p.sstable_bytes as f64),
+                format!("{:.2}", p.query_ms),
+                format!("{:.3}", p.insert_ms),
+                format!("{:.1}", p.write_amp),
+            ]
+        })
+        .collect();
+    titled(
+        &format!(
+            "LSM SSTable-size sweep — testbed HDD, {} keys, {} cache",
+            scale.n_keys,
+            fmt_bytes(scale.cache_bytes as f64)
+        ),
+        &["SSTable size", "Query ms/op", "Insert ms/op", "Write amp"],
+        &data,
+        "\nInsert cost falls as tables pass the half-bandwidth point (sequential writes\n\
+         amortize the setup cost); queries read one block per level regardless — which is\n\
+         why a single large SSTable size serves 'all workloads'.\n",
+    )
+}
+
+/// §3's landscape, measured: the B-tree against the write-optimized
+/// dictionaries (standard/optimized Bε-tree, LSM-tree) on one device and
+/// workload.
+fn wod(scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::wod_comparison(scale)
+        .iter()
+        .map(|r| {
+            vec![
+                r.structure.clone(),
+                format!("{:.2}", r.query_ms),
+                format!("{:.3}", r.insert_ms),
+                format!("{:.2}", r.range_ms),
+            ]
+        })
+        .collect();
+    titled(
+        &format!(
+            "Write-optimized dictionary comparison — testbed HDD, {} keys",
+            scale.n_keys
+        ),
+        &["Structure", "Query ms/op", "Insert ms/op", "Range(200) ms"],
+        &data,
+        "\n§3: a write-optimized dictionary has 'substantially better insertion performance\n\
+         than a B-tree and query performance at or near that of a B-tree.'\n",
+    )
+}
+
+/// §5's aging claim: "as B-trees age, their nodes get spread out across
+/// disk, and range-query performance degrades. This is borne out in
+/// practice." Fresh vs aged B-tree, same content, same device.
+fn aging(scale: &Scale) -> String {
+    let rows = experiments::aging(scale);
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.state.clone(),
+                format!("{:.1}", r.scan_mb_s),
+                format!("{:.2}", r.point_ms),
+            ]
+        })
+        .collect();
+    let footer = match rows.as_slice() {
+        [fresh, aged] => format!(
+            "\nAging slows scans by {:.1}x; point queries barely move — the leaves are\nscattered, not lost.\n",
+            fresh.scan_mb_s / aged.scan_mb_s
+        ),
+        _ => String::new(),
+    };
+    titled(
+        "B-tree aging — full-scan bandwidth, 64 KiB nodes, testbed HDD",
+        &["Tree state", "Scan MB/s", "Point ms/op"],
+        &data,
+        &footer,
+    )
+}
+
+/// §5's OLTP/OLAP dichotomy: point-query and range-scan optima diverge by
+/// over an order of magnitude in node size, which is why OLTP systems use
+/// small leaves (16 KiB) and OLAP systems use large ones (~1 MB).
+fn oltp_olap(scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::oltp_olap(scale)
+        .iter()
+        .map(|r| {
+            vec![
+                fmt_bytes(r.node_bytes as f64),
+                format!("{:.2}", r.point_ms),
+                format!("{:.1}", r.scan_mb_s),
+                format!("{:.0}%", 100.0 * r.predicted_utilization),
+            ]
+        })
+        .collect();
+    titled(
+        "OLTP vs OLAP — B-tree node-size sweep on the testbed HDD",
+        &[
+            "Node size",
+            "Point ms (OLTP)",
+            "Scan MB/s (OLAP)",
+            "Pred. bandwidth util",
+        ],
+        &data,
+        "\nSmall nodes win points, big nodes win scans — no single size serves both,\n\
+         which is the paper's explanation for the OLTP/OLAP leaf-size split (§5).\n",
+    )
+}
+
+/// Lemma 13 / §8 through real dictionaries: closed-loop multi-client
+/// throughput as `k` varies, served by the `dam-serve` engine (hash
+/// shards, IO batching, PDAM step scheduler) instead of the §8 layout
+/// simulator. The `Lemma 13 pred` column is the analytic
+/// `k / log_{PB/k} N` for the same parameters — compare shapes down a
+/// column, not absolute values.
+fn serve(scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::serve_sweep(scale)
+        .iter()
+        .map(|r| {
+            vec![
+                r.structure.clone(),
+                format!("{}", r.clients),
+                format!("{}", r.ops),
+                format!("{}", r.steps),
+                format!("{:.4}", r.throughput_ops_per_step),
+                format!("{:.4}", r.predicted_veb),
+                format!("{:.2}", r.slot_utilization),
+                format!("{:.2}", r.coalesce_rate),
+                format!("{}", r.p50_latency_steps),
+                format!("{}", r.p99_latency_steps),
+            ]
+        })
+        .collect();
+    titled(
+        "Lemma 13 through real trees — ops per PDAM step, P = 8, S = 4 shards",
+        &[
+            "structure",
+            "k",
+            "ops",
+            "steps",
+            "ops/step",
+            "Lemma 13 pred",
+            "slot util",
+            "coalesce",
+            "p50",
+            "p99",
+        ],
+        &data,
+        "\nPaper: a PDAM-aware server keeps all P slots busy, so throughput grows with k \
+         while per-client latency stays near the tree height.\n",
+    )
+}
+
+/// §3's read/write asymmetry, carried through the models: as the write-cost
+/// multiplier ω grows (NVMe, logging, flash GC), the optimal Bε-tree ε
+/// falls and the break-even write fraction for write-optimization drops.
+fn asymmetry(_scale: &Scale) -> String {
+    let shape = DictShape::new(2e9, 1e4, 116.0, 24.0);
+    let node = (4u64 << 20) as f64;
+    let data: Vec<Vec<String>> = [1.0f64, 2.0, 4.0, 8.0, 16.0]
+        .into_iter()
+        .map(|omega| {
+            let m = AsymmetricAffine::new(4.88e-7, omega);
+            vec![
+                format!("{omega:.0}"),
+                format!("{:.2}", m.optimal_epsilon(&shape, node, 0.1)),
+                format!("{:.2}", m.optimal_epsilon(&shape, node, 0.5)),
+                format!("{:.3}", m.betree_breakeven_write_frac(&shape, node)),
+            ]
+        })
+        .collect();
+    titled(
+        "Asymmetric affine model — optimal ε and break-even write fraction (4 MiB nodes)",
+        &[
+            "ω (write/read)",
+            "ε* (10% writes)",
+            "ε* (50% writes)",
+            "break-even write frac",
+        ],
+        &data,
+        "\n§3: 'writes are more expensive than reads, and this has algorithmic\n\
+         consequences' — costlier writes push the design toward smaller ε (more\n\
+         buffering) and make write-optimization pay off at lower write fractions.\n",
+    )
+}
+
+/// The DAM's `M`: skewed access distributions turn cache residency into
+/// speed — the `log(N/M)` term in every dictionary bound, measured.
+fn cache_skew(scale: &Scale) -> String {
+    let data: Vec<Vec<String>> = experiments::cache_skew(scale)
+        .iter()
+        .map(|r| {
+            vec![
+                r.workload.clone(),
+                format!("{:.2}", r.query_ms),
+                format!("{:.0}%", 100.0 * r.hit_rate),
+            ]
+        })
+        .collect();
+    titled(
+        "Access skew vs cache effectiveness — B-tree, 64 KiB nodes, testbed HDD",
+        &["Workload", "Query ms/op", "Cache hit rate"],
+        &data,
+        "\nHotter key distributions concentrate the working set inside M: hit rates\n\
+         climb and the effective log(N/M) shrinks.\n",
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn eighteen_unique_names() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names.len(), 18);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 18, "duplicate experiment name");
+        assert!(find("table2").is_some());
+        assert!(find("nope").is_none());
+    }
+
+    #[test]
+    fn serve_renders_every_structure_and_client_count() {
+        let out = serve(&Scale::smoke());
+        assert!(out.contains("Lemma 13 pred"), "{out}");
+        for s in ["btree", "betree", "optbetree", "lsm"] {
+            let rows = out
+                .lines()
+                .filter(|l| l.split_whitespace().next() == Some(s))
+                .count();
+            assert_eq!(rows, 5, "{s}: {out}");
+        }
+    }
+}

@@ -60,7 +60,7 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// One-line worker-pool description for experiment binary headers. Job
+/// One-line worker-pool description, printed to stderr before an experiment. Job
 /// count changes wall-clock time only — results are identical at any value
 /// — so the line documents the run without invalidating comparisons.
 pub fn describe_jobs() -> String {

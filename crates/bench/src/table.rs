@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries — the same
+//! Plain-text table rendering for [`crate::report`] — the same
 //! rows/series the paper's tables and figures report.
 
 /// Render a fixed-width table: a header row plus data rows, columns sized

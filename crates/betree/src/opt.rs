@@ -1318,9 +1318,9 @@ impl Dictionary for OptBeTree {
 
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         let snap = self.begin_op();
-        let r = self.get_inner(key);
+        let r = self.get_inner(key)?;
         self.finish_op(&snap);
-        r
+        Ok(r)
     }
 
     fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {

@@ -14,6 +14,10 @@ use dam_storage::{
 };
 use std::fmt;
 
+/// The four dictionaries under test: the serving engine's enum, so
+/// `damlab check` and the concurrent mode name them with one type.
+pub use dam_serve::ServeStructure as Structure;
+
 /// Simulated disk per fixture.
 const DISK_BYTES: u64 = 1 << 27;
 /// Per-IO simulated latency (value irrelevant to correctness).
@@ -25,44 +29,6 @@ const CACHE_BYTES: u64 = 1 << 16;
 /// [`Mode::FaultsSurfaced`]. All trace ops are idempotent, so redriving
 /// until the probabilistic faults pass must converge to the oracle.
 const REDRIVE_CAP: usize = 200;
-
-/// The four dictionaries under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Structure {
-    /// In-place B-tree.
-    BTree,
-    /// Standard Bε-tree.
-    BeTree,
-    /// Theorem-9 optimized Bε-tree.
-    OptBeTree,
-    /// Leveled LSM tree.
-    Lsm,
-}
-
-impl Structure {
-    /// All four, in comparison order.
-    pub const ALL: [Structure; 4] = [
-        Structure::BTree,
-        Structure::BeTree,
-        Structure::OptBeTree,
-        Structure::Lsm,
-    ];
-
-    /// Display / CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Structure::BTree => "btree",
-            Structure::BeTree => "betree",
-            Structure::OptBeTree => "optbetree",
-            Structure::Lsm => "lsm",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<Structure> {
-        Structure::ALL.into_iter().find(|x| x.name() == s)
-    }
-}
 
 /// How the trace is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

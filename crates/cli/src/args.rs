@@ -34,10 +34,6 @@ pub struct Args {
     pub flags: BTreeMap<String, String>,
 }
 
-/// Flags that take no value; `--smoke` parses as `smoke = "true"`. Every
-/// other flag still requires an explicit value.
-const BOOLEAN_FLAGS: &[&str] = &["smoke"];
-
 impl Args {
     /// Parse `argv` (without the program name).
     pub fn parse(argv: &[String]) -> Result<Args, CliError> {
@@ -46,13 +42,6 @@ impl Args {
         while i < argv.len() {
             let tok = &argv[i];
             if let Some(name) = tok.strip_prefix("--") {
-                if BOOLEAN_FLAGS.contains(&name) {
-                    if out.flags.insert(name.to_string(), "true".into()).is_some() {
-                        return Err(CliError::Usage(format!("flag --{name} given twice")));
-                    }
-                    i += 1;
-                    continue;
-                }
                 let value = argv
                     .get(i + 1)
                     .filter(|v| !v.starts_with("--"))
@@ -87,11 +76,6 @@ impl Args {
     /// An optional string flag.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
-    }
-
-    /// True when a boolean flag (see [`BOOLEAN_FLAGS`]) was given.
-    pub fn get_bool(&self, name: &str) -> bool {
-        self.flags.contains_key(name)
     }
 
     /// An optional numeric flag with a default.
@@ -180,18 +164,5 @@ mod tests {
     fn empty_invocation_is_help() {
         let a = Args::parse(&[]).unwrap();
         assert_eq!(a.command, "");
-    }
-
-    #[test]
-    fn boolean_flag_takes_no_value() {
-        let a = Args::parse(&argv("serve --smoke --ops 40")).unwrap();
-        assert!(a.get_bool("smoke"));
-        assert_eq!(a.get_u64("ops", 0).unwrap(), 40);
-        let b = Args::parse(&argv("serve --ops 40")).unwrap();
-        assert!(!b.get_bool("smoke"));
-        assert!(matches!(
-            Args::parse(&argv("serve --smoke --smoke")),
-            Err(CliError::Usage(_))
-        ));
     }
 }

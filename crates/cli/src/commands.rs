@@ -2,7 +2,7 @@
 //! suite can drive the whole CLI in-process.
 
 use crate::args::{Args, CliError};
-use dam_bench::{experiments, Scale};
+use dam_bench::{experiments, report, Scale};
 use refined_dam::prelude::*;
 use refined_dam::profiler::{fig1_thread_counts, table2_io_sizes};
 use refined_dam::storage::profiles;
@@ -75,7 +75,11 @@ pub fn help() -> String {
      \x20 run     --structure <s> --device <d> [--node-kb N] [--keys N] [--ops N]\n\
      \x20                                      load a dictionary, measure per-op costs\n\
      \x20         structures: btree | betree | optbetree | lsm\n\
-     \x20 experiment <name> [--jobs N]         regenerate a paper table/figure\n\
+     \x20 experiment <name> [--seed S] [--jobs N]\n\
+     \x20                                      regenerate a paper table/figure at\n\
+     \x20                                      the DAM_N_KEYS/DAM_OPS/DAM_CACHE_MB/\n\
+     \x20                                      DAM_SEED scale; with DAM_METRICS=1\n\
+     \x20                                      also write BENCH_<name>.metrics.json\n\
      \x20 experiment list                      list experiment names\n\
      \x20 sweep-bench [--jobs N] [--scale smoke|default] [--out FILE]\n\
      \x20                                      time grid experiments at jobs=1 vs\n\
@@ -86,14 +90,6 @@ pub fn help() -> String {
      \x20                                      instrumented run: per-level IO, spans,\n\
      \x20                                      latency percentiles, cache hit rate,\n\
      \x20                                      read/write amp, model residuals\n\
-     \x20 serve   [--structure s|all] [--clients K] [--shards S] [--ops N]\n\
-     \x20         [--p P] [--preload N] [--seed S] [--smoke] [--jobs N]\n\
-     \x20                                      closed-loop multi-client serving:\n\
-     \x20                                      k clients over S hash shards on one\n\
-     \x20                                      PDAM device (slot budget P); without\n\
-     \x20                                      --clients, sweeps k in {1,2,4,8,16}\n\
-     \x20                                      and prints measured ops/step next to\n\
-     \x20                                      Lemma 13's k / log_{PB/k} N\n\
      \x20 check   [--ops N] [--seed S] [--structure <s>] [--mode <m>]\n\
      \x20         [--crash-points N] [--crash-ops N] [--shrink-budget N]\n\
      \x20         [--clients K] [--shards S]\n\
@@ -325,196 +321,39 @@ fn jobs_override(args: &Args) -> Result<JobsGuard, CliError> {
     }
 }
 
-/// `damlab experiment <name> [--jobs N]`.
+/// The scale `damlab experiment` runs at: the `DAM_*` environment
+/// variables (see [`Scale::from_env`]), then `--seed`.
+fn experiment_scale(args: &Args) -> Result<Scale, CliError> {
+    let mut scale = Scale::from_env().map_err(CliError::Usage)?;
+    scale.seed = args.get_u64("seed", scale.seed)?;
+    Ok(scale)
+}
+
+/// `damlab experiment <name> [--seed S] [--jobs N]`: run one entry of
+/// [`report::EXPERIMENTS`] and return its table. With `DAM_METRICS` set,
+/// also write the `BENCH_<name>.metrics.json` sidecar.
 pub fn experiment(args: &Args) -> Result<String, CliError> {
     let name = args
         .positional
         .as_deref()
         .ok_or_else(|| CliError::Usage("experiment needs a name; try 'experiment list'".into()))?;
-    let mut scale = Scale::from_env();
-    if let Some(seed) = args.get_f64("seed")? {
-        scale.seed = seed as u64;
+    if name == "list" {
+        return Ok(report::EXPERIMENTS
+            .iter()
+            .map(|(n, _)| format!("{n}\n"))
+            .collect());
     }
+    let render = report::find(name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown experiment '{name}'; known: {}",
+            report::names()
+        ))
+    })?;
+    let scale = experiment_scale(args)?;
     let _jobs = jobs_override(args)?;
-    let known = [
-        "list",
-        "fig1",
-        "table1",
-        "table2",
-        "table3",
-        "fig2",
-        "fig3",
-        "lemma1",
-        "thm9",
-        "lemma13",
-        "optima",
-        "writeamp",
-        "lsm",
-        "wod",
-        "aging",
-        "oltp-olap",
-    ];
-    let out = match name {
-        "list" => format!("experiments: {}\n", known[1..].join(", ")),
-        "fig1" | "table1" => {
-            let rows = experiments::fig1_and_table1(&scale);
-            let mut s = String::new();
-            for r in rows {
-                writeln!(
-                    s,
-                    "{}: P={:.1} sat={:.0}MB/s R2={:.3}",
-                    r.device, r.p, r.saturation_mb_s, r.r2
-                )
-                .unwrap();
-            }
-            s
-        }
-        "table2" => {
-            let mut s = String::new();
-            for r in experiments::table2(&scale) {
-                writeln!(
-                    s,
-                    "{}: s={:.4} t={:.6} alpha={:.4} R2={:.4}",
-                    r.disk, r.s, r.t_per_4k, r.alpha, r.r2
-                )
-                .unwrap();
-            }
-            s
-        }
-        "table3" => {
-            let r = experiments::table3();
-            format!(
-                "growth from 1/alpha to 64x: btree {:.1}x, betree insert {:.1}x, betree query {:.1}x\n",
-                r.summary.btree_growth, r.summary.betree_insert_growth, r.summary.betree_query_growth
-            )
-        }
-        "fig2" => rows_node_size(&experiments::fig2(&scale)),
-        "fig3" => rows_node_size(&experiments::fig3(&scale)),
-        "lemma1" => {
-            let mut s = String::new();
-            for r in experiments::lemma1(&scale) {
-                writeln!(
-                    s,
-                    "{}: dam/affine = {:.3} (holds: {})",
-                    r.trace, r.error_factor, r.holds
-                )
-                .unwrap();
-            }
-            s
-        }
-        "thm9" => {
-            let mut s = String::new();
-            for r in experiments::thm9_ablation(&scale) {
-                writeln!(
-                    s,
-                    "{}: query {:.2}ms insert {:.3}ms bytes/q {:.0}",
-                    r.variant, r.query_ms, r.insert_ms, r.query_bytes
-                )
-                .unwrap();
-            }
-            s
-        }
-        "lemma13" => {
-            let mut s = String::new();
-            for r in experiments::lemma13(&scale) {
-                writeln!(
-                    s,
-                    "k={}: veb {:.3} sorted {:.3} small {:.3}",
-                    r.clients, r.fat_veb, r.fat_sorted, r.small_nodes
-                )
-                .unwrap();
-            }
-            s
-        }
-        "optima" => {
-            let mut s = String::new();
-            for r in experiments::corollary_optima() {
-                writeln!(
-                    s,
-                    "{}: 1/a={:.0}KiB btree={:.0}KiB F={:.0} Be={:.0}MiB speedup={:.1}x",
-                    r.disk,
-                    r.half_bandwidth / 1024.0,
-                    r.btree_point / 1024.0,
-                    r.betree_fanout,
-                    r.betree_node / (1 << 20) as f64,
-                    r.insert_speedup
-                )
-                .unwrap();
-            }
-            s
-        }
-        "writeamp" => {
-            let mut s = String::new();
-            for r in experiments::write_amp(&scale) {
-                writeln!(
-                    s,
-                    "{}: measured {:.1} model {:.1}",
-                    r.structure, r.measured, r.predicted
-                )
-                .unwrap();
-            }
-            s
-        }
-        "lsm" => {
-            let mut s = String::new();
-            for r in experiments::lsm_sstable_size(&scale) {
-                writeln!(
-                    s,
-                    "{}KiB: query {:.2}ms insert {:.3}ms WA {:.1}",
-                    r.sstable_bytes / 1024,
-                    r.query_ms,
-                    r.insert_ms,
-                    r.write_amp
-                )
-                .unwrap();
-            }
-            s
-        }
-        "wod" => {
-            let mut s = String::new();
-            for r in experiments::wod_comparison(&scale) {
-                writeln!(
-                    s,
-                    "{}: query {:.2}ms insert {:.3}ms range {:.2}ms",
-                    r.structure, r.query_ms, r.insert_ms, r.range_ms
-                )
-                .unwrap();
-            }
-            s
-        }
-        "aging" => {
-            let mut s = String::new();
-            for r in experiments::aging(&scale) {
-                writeln!(
-                    s,
-                    "{}: scan {:.1} MB/s, point {:.2} ms",
-                    r.state, r.scan_mb_s, r.point_ms
-                )
-                .unwrap();
-            }
-            s
-        }
-        "oltp-olap" => {
-            let mut s = String::new();
-            for r in experiments::oltp_olap(&scale) {
-                writeln!(
-                    s,
-                    "{}KiB: point {:.2}ms scan {:.1}MB/s",
-                    r.node_bytes / 1024,
-                    r.point_ms,
-                    r.scan_mb_s
-                )
-                .unwrap();
-            }
-            s
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown experiment '{other}'; known: {}",
-                known[1..].join(", ")
-            )))
-        }
-    };
+    eprintln!("{}", dam_bench::sweep::describe_jobs());
+    let out = render(&scale);
+    dam_bench::metrics::export(name);
     Ok(out)
 }
 
@@ -825,7 +664,7 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
 ///
 /// Validates an exported metrics snapshot (from `stats --format json` or a
 /// `BENCH_*.metrics.json` sidecar) against a schema listing required keys.
-/// CI runs this after a metrics-enabled bench binary.
+/// CI runs this after a metrics-enabled `experiment fig2`.
 pub fn check_metrics(args: &Args) -> Result<String, CliError> {
     let snapshot_path = args.require("snapshot")?;
     let schema_path = args.require("schema")?;
@@ -843,115 +682,6 @@ pub fn check_metrics(args: &Args) -> Result<String, CliError> {
     Ok(format!(
         "snapshot {snapshot_path} OK: every key required by {schema_path} is present\n"
     ))
-}
-
-/// `damlab serve [--structure s|all] [--clients K] [--shards S] [--ops N]
-/// [--p P] [--preload N] [--seed S] [--smoke] [--jobs N]`.
-///
-/// Closed-loop multi-client serving through the `dam-serve` engine: `k`
-/// clients over `S` hash shards on one PDAM device with slot budget `P`,
-/// read-heavy point ops against a real tree. Without `--clients` the
-/// command sweeps k over {1, 2, 4, 8, 16} (Lemma 13's client axis); the
-/// `Lemma13 pred` column is the analytic `k / log_{PB/k} N` at the same
-/// parameters — compare shapes, not absolute values. The grid fans across
-/// `--jobs` workers with byte-identical output.
-pub fn serve(args: &Args) -> Result<String, CliError> {
-    use dam_bench::sweep::Sweep;
-    use dam_serve::{run, ServeConfig, ServeStructure};
-
-    let _jobs = jobs_override(args)?;
-    let smoke = args.get_bool("smoke");
-    let structures: Vec<ServeStructure> = match args.get("structure").unwrap_or("all") {
-        "all" => ServeStructure::ALL.to_vec(),
-        s => vec![ServeStructure::parse(s).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown structure '{s}' (btree | betree | optbetree | lsm | all)"
-            ))
-        })?],
-    };
-    let ks: Vec<usize> = match args.get_u64("clients", 0)? {
-        0 if smoke => vec![1, 4],
-        0 => vec![1, 2, 4, 8, 16],
-        k => vec![k as usize],
-    };
-    let p = args.get_u64("p", 8)? as usize;
-    let shards = args.get_u64("shards", 4)? as usize;
-    if p == 0 || shards == 0 {
-        return Err(CliError::Usage("--p and --shards must be >= 1".into()));
-    }
-    let ops = args.get_u64("ops", if smoke { 40 } else { 200 })? as usize;
-    let preload = args.get_u64("preload", if smoke { 2_000 } else { 4_000 })?;
-    let seed = args.get_u64("seed", 0xDA4)?;
-
-    let points: Vec<(ServeStructure, usize)> = structures
-        .iter()
-        .flat_map(|&s| ks.iter().map(move |&k| (s, k)))
-        .collect();
-    // The small cache is deliberate: the preload must not fit, or every op
-    // is a hit and the sweep degenerates to ops/step = k.
-    let outcomes = Sweep::new(seed, points).run(|ctx| {
-        let (structure, k) = *ctx.point;
-        let cfg = ServeConfig {
-            structure,
-            clients: k,
-            shards,
-            p,
-            seed: ctx.seed,
-            preload_keys: preload,
-            ops_per_client: ops,
-            cache_bytes: 1 << 14,
-            value_bytes: 32,
-            ..ServeConfig::default()
-        };
-        run(&cfg).map(|o| (cfg.block_bytes, cfg.value_bytes, o.report))
-    });
-
-    let mut out = String::new();
-    writeln!(
-        out,
-        "closed-loop serving: P={p} S={shards} preload={preload} ops/client={ops} seed={seed}"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "{:<10} {:>3} {:>6} {:>7} {:>9} {:>13} {:>9} {:>8} {:>5} {:>5}",
-        "structure",
-        "k",
-        "ops",
-        "steps",
-        "ops/step",
-        "Lemma13 pred",
-        "slot util",
-        "coalesce",
-        "p50",
-        "p99"
-    )
-    .unwrap();
-    for res in outcomes {
-        let (block_bytes, value_bytes, r) = res.map_err(|e| CliError::Runtime(e.to_string()))?;
-        let pdam = refined_dam::models::Pdam::new(p as f64, block_bytes as f64);
-        let predicted = pdam.veb_tree_throughput(
-            r.clients as f64,
-            preload.max(2) as f64,
-            (16 + value_bytes) as f64,
-        );
-        writeln!(
-            out,
-            "{:<10} {:>3} {:>6} {:>7} {:>9.4} {:>13.4} {:>9.2} {:>8.2} {:>5} {:>5}",
-            r.structure,
-            r.clients,
-            r.ops,
-            r.steps,
-            r.throughput_ops_per_step,
-            predicted,
-            r.slot_utilization,
-            r.coalesce_rate,
-            r.p50_latency_steps,
-            r.p99_latency_steps
-        )
-        .unwrap();
-    }
-    Ok(out)
 }
 
 /// `damlab check`: run the differential correctness harness.
@@ -1033,21 +763,6 @@ pub fn check(args: &Args) -> Result<String, CliError> {
         }
         Err(f) => Err(CliError::Runtime(format!("{out}{f}"))),
     }
-}
-
-fn rows_node_size(rows: &[experiments::NodeSizePoint]) -> String {
-    let mut s = String::new();
-    for r in rows {
-        writeln!(
-            s,
-            "{}KiB: query {:.2}ms insert {:.3}ms",
-            r.node_bytes / 1024,
-            r.query_ms,
-            r.insert_ms
-        )
-        .unwrap();
-    }
-    s
 }
 
 #[cfg(test)]
@@ -1132,7 +847,10 @@ mod tests {
     #[test]
     fn experiment_list_and_unknown() {
         let out = run("experiment list").unwrap();
-        assert!(out.contains("table2"));
+        let listed: Vec<&str> = out.lines().collect();
+        let names: Vec<&str> = report::EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        assert_eq!(listed, names);
+        assert_eq!(listed.len(), 18);
         assert!(matches!(run("experiment nope"), Err(CliError::Usage(_))));
         assert!(matches!(run("experiment"), Err(CliError::Usage(_))));
     }
@@ -1140,7 +858,21 @@ mod tests {
     #[test]
     fn experiment_table3_runs() {
         let out = run("experiment table3").unwrap();
-        assert!(out.contains("growth"), "{out}");
+        assert!(out.contains("Growth from half-bandwidth point"), "{out}");
+        assert!(out.contains("General-F row at B = 4 MiB"), "{out}");
+    }
+
+    #[test]
+    fn experiment_seed_is_an_exact_u64() {
+        let args = |s: &str| Args::parse(&argv(s)).unwrap();
+        let scale = experiment_scale(&args("experiment fig2 --seed 9007199254740993")).unwrap();
+        assert_eq!(scale.seed, 9_007_199_254_740_993);
+        for bad in ["-5", "1.5", "18446744073709551616"] {
+            assert!(matches!(
+                experiment_scale(&args(&format!("experiment fig2 --seed {bad}"))),
+                Err(CliError::Usage(_))
+            ));
+        }
     }
 
     #[test]
@@ -1148,7 +880,7 @@ mod tests {
         let serial = run("experiment lemma13 --jobs 1").unwrap();
         let parallel = run("experiment lemma13 --jobs 3").unwrap();
         assert_eq!(serial, parallel);
-        assert!(serial.contains("k=8"), "{serial}");
+        assert!(serial.lines().any(|l| l.starts_with("8 ")), "{serial}");
     }
 
     #[test]
@@ -1238,37 +970,6 @@ mod tests {
             run("stats --structure btree --device toshiba-dt01aca050 --format yaml"),
             Err(CliError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn serve_smoke_sweep_renders_rows() {
-        let out = run("serve --smoke").unwrap();
-        for s in ["btree", "betree", "optbetree", "lsm"] {
-            assert!(out.contains(s), "missing {s}: {out}");
-        }
-        assert!(out.contains("Lemma13 pred"), "{out}");
-        // Smoke sweeps k in {1, 4} for every structure.
-        assert_eq!(out.matches("\nbtree").count(), 2, "{out}");
-    }
-
-    #[test]
-    fn serve_is_deterministic_across_jobs() {
-        let cmd = "serve --smoke --structure btree --ops 30 --preload 1000";
-        let serial = run(&format!("{cmd} --jobs 1")).unwrap();
-        let parallel = run(&format!("{cmd} --jobs 3")).unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn serve_single_point_and_bad_flags() {
-        let out =
-            run("serve --structure lsm --clients 3 --ops 20 --preload 500 --shards 2").unwrap();
-        assert_eq!(out.matches("\nlsm").count(), 1, "{out}");
-        assert!(matches!(
-            run("serve --structure skiplist"),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(run("serve --p 0"), Err(CliError::Usage(_))));
     }
 
     #[test]

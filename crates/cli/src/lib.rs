@@ -11,9 +11,10 @@
 //! * `damlab run --structure <btree|betree|optbetree|lsm> --device <name>
 //!   [--node-kb N] [--keys N] [--ops N]` — load a dictionary and measure
 //!   per-op costs,
-//! * `damlab experiment <name> [--jobs N]` — regenerate a paper
-//!   table/figure (`table1`, `table2`, `fig2`, … — see `damlab experiment
-//!   list`); grid experiments fan across `N` workers with identical output,
+//! * `damlab experiment <name> [--seed S] [--jobs N]` — regenerate a paper
+//!   table/figure (`table1`, `table2`, `fig2`, `serve`, … — see `damlab
+//!   experiment list`); the only front end to [`dam_bench::report`]. Grid
+//!   experiments fan across `N` workers with identical output,
 //! * `damlab sweep-bench [--jobs N] [--scale smoke|default]` — time the
 //!   grid experiments at jobs=1 vs jobs=N, verify the rows are identical,
 //!   and write `BENCH_sweep_runtime.json`,
@@ -21,11 +22,6 @@
 //!   instrumented workload and render the observability snapshot: per-level
 //!   IO, span tallies, latency percentiles, cache hit rate, read/write
 //!   amplification, and DAM/affine/PDAM model residuals,
-//! * `damlab serve [--structure s|all] [--clients K] [--shards S] [--p P]
-//!   [--smoke] [--jobs N]` — closed-loop multi-client serving through the
-//!   `dam-serve` engine: `k` clients over hash shards on one PDAM device;
-//!   without `--clients` it sweeps k over {1, 2, 4, 8, 16} and prints
-//!   measured ops/step next to Lemma 13's `k / log_{PB/k} N`,
 //! * `damlab check [--ops N] [--seed S] [--structure <s>] [--mode <m>]
 //!   [--clients K]` — differential correctness harness: replay an
 //!   adversarial op trace in lockstep against all four dictionaries and a
@@ -53,7 +49,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "experiment" => commands::experiment(&args),
         "sweep-bench" => commands::sweep_bench(&args),
         "stats" => commands::stats(&args),
-        "serve" => commands::serve(&args),
         "check" => commands::check(&args),
         "check-metrics" => commands::check_metrics(&args),
         "help" | "" => Ok(commands::help()),

@@ -54,7 +54,7 @@ pub use dam_veb as veb;
 pub use profiler::{profile_affine, profile_pdam, AffineProfile, PdamProfile, ProfileError};
 pub use tuner::{tune_for_affine, tune_for_pdam, AffineTuning, PdamTuning};
 
-/// One-stop imports for examples and experiment binaries.
+/// One-stop imports for examples and experiments.
 pub mod prelude {
     pub use crate::profiler::{profile_affine, profile_pdam, AffineProfile, PdamProfile};
     pub use crate::tuner::{tune_for_affine, tune_for_pdam, AffineTuning, PdamTuning};

@@ -13,19 +13,16 @@
 //!   implement, plus per-operation cost reporting.
 //! * [`workload`] — deterministic workload generators (uniform, zipfian,
 //!   sequential; read/write mixes) matching the §7 benchmark protocol.
-//! * [`writeamp`] — write-amplification metering (Definition 3).
 
 pub mod codec;
 pub mod dictionary;
 pub mod msg;
 pub mod workload;
-pub mod writeamp;
 
 pub use codec::{CodecError, Reader, Writer};
 pub use dictionary::{BatchOp, Dictionary, KvError, KvPair, OpCost};
 pub use msg::{CounterMerge, LastWriteWins, MergeOperator, Message, Operation};
 pub use workload::{KeyDistribution, Op, WorkloadConfig, WorkloadGen};
-pub use writeamp::WriteAmpMeter;
 
 /// Encode an index as a fixed-width big-endian key so lexicographic order
 /// equals numeric order. 16 bytes to match the §7 benchmark's key size.

@@ -683,20 +683,20 @@ impl Dictionary for LsmTree {
 
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, KvError> {
         let snap = self.begin_op();
-        let r = self.get_inner(key);
+        let r = self.get_inner(key)?;
         self.finish_op(&snap);
-        r
+        Ok(r)
     }
 
     fn range(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>, KvError> {
         let snap = self.begin_op();
         let r = if start < end {
-            self.range_inner(start, Some(end))
+            self.range_inner(start, Some(end))?
         } else {
-            Ok(Vec::new())
+            Vec::new()
         };
         self.finish_op(&snap);
-        r
+        Ok(r)
     }
 
     fn last_op_cost(&self) -> OpCost {

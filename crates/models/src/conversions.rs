@@ -9,7 +9,7 @@
 //!
 //! These functions cost explicit IO traces under both models so the bound
 //! can be checked on arbitrary workloads (see the property tests and the
-//! `lemma1_dam_vs_affine` experiment binary).
+//! `damlab experiment lemma1`).
 
 use crate::{Affine, Dam};
 

@@ -9,7 +9,7 @@
 //! | Bε-tree (general F)  | `F(1+αB)/(B·log F)`           | `(F + αF² + αB)/(F·log F)`     |
 //!
 //! This module evaluates those expressions and generates the cost-vs-node-
-//! size series used by the `table3_sensitivity` experiment binary and the
+//! size series used by `damlab experiment table3` and the
 //! Fig 2/Fig 3 overlays.
 
 use crate::betree_costs::{self, BetreeConfig};
@@ -112,7 +112,7 @@ pub fn sensitivity_ratio(cost_at: impl Fn(f64) -> f64, opt_bytes: f64, factor: f
     cost_at(opt_bytes * factor) / base
 }
 
-/// Summary comparison the `table3_sensitivity` binary prints: the cost
+/// Summary comparison `damlab experiment table3` prints: the cost
 /// growth when nodes grow from the half-bandwidth point (`1/α`, the DAM's
 /// natural block size) to `factor`× that, for each structure.
 ///

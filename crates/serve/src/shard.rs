@@ -15,9 +15,8 @@ use dam_lsm::{LsmConfig, LsmTree};
 use dam_stats::SplitMix64;
 use dam_storage::{BlockDevice, IoChain, RamDisk, SharedDevice, SimDuration};
 
-/// The four dictionaries the engine can serve. Mirrors the differential
-/// harness's structure set; defined here because `dam-check` depends on
-/// `dam-serve`, not the other way around.
+/// The four dictionaries the engine can serve. The differential harness
+/// re-exports it as `dam_check::Structure`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServeStructure {
     /// In-place B-tree.

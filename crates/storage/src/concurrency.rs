@@ -16,7 +16,7 @@
 //! Multi-client throughput *through the dictionaries* — root-to-leaf IO
 //! chains, `P`-slot steps, read coalescing, fair slot accounting — is the
 //! job of [`crate::sched::PdamScheduler`] and the `dam-serve` crate built
-//! on it (`damlab serve`); do not compare numbers across the two paths.
+//! on it (`damlab experiment serve`); do not compare numbers across the two paths.
 
 use crate::clock::{SimDuration, SimTime};
 use crate::device::{BlockDevice, IoError};
