@@ -709,10 +709,11 @@ pub struct LsmSizePoint {
 }
 
 /// Sweep SSTable sizes for a leveled LSM on the testbed HDD — why does
-/// LevelDB pick 2 MiB "for all workloads"? Because on the affine model the
+/// LevelDB pick 2 MiB "for all workloads"? On the affine model the
 /// sequential table writes amortize the setup cost once tables pass the
-/// half-bandwidth point, while point queries (one block per level) barely
-/// care.
+/// half-bandwidth point. Point queries are not size-independent: each one
+/// probes every L0 run, and L0 (`l0_limit` memtable-sized runs) grows with
+/// the SSTable size.
 pub fn lsm_sstable_size(scale: &Scale) -> Vec<LsmSizePoint> {
     let profile = profiles::toshiba_dt01aca050();
     let pairs = preload_pairs(scale);

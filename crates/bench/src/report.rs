@@ -469,8 +469,9 @@ fn lsm(scale: &Scale) -> String {
         &["SSTable size", "Query ms/op", "Insert ms/op", "Write amp"],
         &data,
         "\nInsert cost falls as tables pass the half-bandwidth point (sequential writes\n\
-         amortize the setup cost); queries read one block per level regardless — which is\n\
-         why a single large SSTable size serves 'all workloads'.\n",
+         amortize the setup cost). Query cost is not size-independent: a point read probes\n\
+         every L0 run, and L0 grows with the SSTable size, so read the query column before\n\
+         taking one SSTable size for 'all workloads'.\n",
     )
 }
 

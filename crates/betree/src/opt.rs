@@ -23,9 +23,7 @@
 //! rebuilds (same asymptotics, different constants on the rebalance term),
 //! and deletions leave sparse leaves rather than triggering merges.
 
-use crate::node::{
-    apply_msgs_to_entries, buffer_insert, buffer_merge, decode_alloc_state, encode_alloc_state,
-};
+use crate::node::{apply_msgs_to_entries, buffer_insert, buffer_merge};
 use dam_cache::Pager;
 
 const OPT_SUPERBLOCK_MAGIC: u32 = 0x4441_4D4F; // "DAMO"
@@ -337,7 +335,7 @@ impl OptBeTree {
         w.put_u64(self.next_seq);
         // Root descriptor (reuses the segment encoding).
         Seg::Desc(self.root.clone()).encode_into(&mut w);
-        encode_alloc_state(&mut w, &self.pager);
+        self.pager.write_alloc(&mut w);
         let payload = w.into_bytes();
         if (payload.len() + FRAME_OVERHEAD) as u64 > reserved {
             return Err(KvError::Config("superblock overflow".into()));
@@ -379,8 +377,7 @@ impl OptBeTree {
             Some(Seg::Desc(d)) => d,
             _ => return Err(corrupt("missing root descriptor".into())),
         };
-        let (high_water, free) = decode_alloc_state(&mut r).map_err(dec)?;
-        pager.restore_alloc(high_water, free, reserved);
+        pager.read_alloc(&mut r, reserved).map_err(dec)?;
         Ok(OptBeTree {
             pager,
             fanout: cfg.fanout,
@@ -1359,10 +1356,13 @@ impl Dictionary for OptBeTree {
 
 #[cfg(test)]
 mod tests {
+    //! Optimized-Bε-tree-specific behaviour. The contract every dictionary
+    //! shares is checked once, for all four, by
+    //! `tests/dictionary_contract.rs`.
+
     use super::*;
     use dam_kv::key_from_u64;
-    use dam_kv::msg::CounterMerge;
-    use dam_storage::{FaultInjector, FaultMode, RamDisk, SimDuration};
+    use dam_storage::{RamDisk, SimDuration};
 
     fn tree(fanout: usize, seg_bytes: usize) -> OptBeTree {
         let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
@@ -1376,211 +1376,11 @@ mod tests {
         )
     }
 
-    #[test]
-    fn surfaced_faults_never_lose_acked_updates() {
-        // Regression (found by dam-check): a device fault surfaced during
-        // a buffer flush used to drop buffered messages or leave a
-        // descriptor out of sync with its node image — keys vanished and
-        // stale values reappeared. Every mutation is retried until it
-        // reports Ok; the final state must then match a shadow map
-        // exactly, faults or not.
-        let (inj, switch) = FaultInjector::new(RamDisk::new(1 << 26, SimDuration(200)));
-        let dev = SharedDevice::new(Box::new(inj));
-        let mut t = OptBeTree::create(dev, OptConfig::new(4, 1024, 1 << 16)).unwrap();
-        switch.set(FaultMode::Probabilistic {
-            num: 1,
-            denom: 48,
-            seed: 7,
-        });
-        let mut shadow: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
-            std::collections::BTreeMap::new();
-        let mut rng = 0x1234_5678u64;
-        let mut next = move || {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            rng >> 33
-        };
-        for i in 0..4000u64 {
-            let k = key_from_u64(next() % 700).to_vec();
-            if next() % 10 < 7 {
-                let v = format!("v{i:06}").into_bytes();
-                let mut tries = 0;
-                while let Err(e) = t.insert(&k, &v) {
-                    tries += 1;
-                    assert!(tries < 200, "insert never converged: {e}");
-                }
-                shadow.insert(k, v);
-            } else {
-                let mut tries = 0;
-                while let Err(e) = t.delete(&k) {
-                    tries += 1;
-                    assert!(tries < 200, "delete never converged: {e}");
-                }
-                shadow.remove(&k);
-            }
-        }
-        switch.set(FaultMode::None);
-        let dump = t.range(&[], &[0xFF; 17]).unwrap();
-        let want: Vec<(Vec<u8>, Vec<u8>)> =
-            shadow.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        assert_eq!(dump, want);
-        assert_eq!(t.len().unwrap(), shadow.len() as u64);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn empty_tree() {
-        let mut t = tree(4, 512);
-        assert_eq!(t.get(b"x").unwrap(), None);
-        assert_eq!(t.len().unwrap(), 0);
-        assert!(t.range(b"a", b"z").unwrap().is_empty());
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn insert_get_small() {
-        let mut t = tree(4, 512);
-        for i in 0..50 {
+    fn insert_all(t: &mut OptBeTree, keys: impl IntoIterator<Item = u64>) {
+        for i in keys {
             let (k, v) = kv(i);
             t.insert(&k, &v).unwrap();
         }
-        for i in 0..50 {
-            let (k, v) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), Some(v), "key {i}");
-        }
-        assert_eq!(t.get(&key_from_u64(50)).unwrap(), None);
-    }
-
-    #[test]
-    fn insert_get_through_growth() {
-        let mut t = tree(4, 512);
-        for i in 0..3000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        assert!(t.height() >= 2, "height {}", t.height());
-        t.check_invariants().unwrap();
-        for i in (0..3000).step_by(41) {
-            let (k, v) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), Some(v), "key {i}");
-        }
-        assert_eq!(t.len().unwrap(), 3000);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn random_order_inserts() {
-        let mut t = tree(4, 512);
-        let keys: Vec<u64> = (0..1500).map(|i| (i * 1543) % 1500).collect();
-        for &i in &keys {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        t.check_invariants().unwrap();
-        for &i in &keys {
-            let (k, v) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), Some(v));
-        }
-        assert_eq!(t.len().unwrap(), 1500);
-    }
-
-    #[test]
-    fn overwrite_latest_wins() {
-        let mut t = tree(4, 512);
-        let (k, _) = kv(9);
-        for round in 0..200u32 {
-            t.insert(&k, &round.to_le_bytes()).unwrap();
-        }
-        assert_eq!(t.get(&k).unwrap(), Some(199u32.to_le_bytes().to_vec()));
-        assert_eq!(t.len().unwrap(), 1);
-    }
-
-    #[test]
-    fn tombstones_delete() {
-        let mut t = tree(4, 512);
-        for i in 0..800 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        for i in (0..800).step_by(3) {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        for i in 0..800 {
-            let (k, v) = kv(i);
-            let expect = if i % 3 == 0 { None } else { Some(v) };
-            assert_eq!(t.get(&k).unwrap(), expect, "key {i}");
-        }
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn upserts_merge() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let mut cfg = OptConfig::new(4, 512, 1 << 20);
-        cfg.merge = Box::new(CounterMerge);
-        let mut t = OptBeTree::create(dev, cfg).unwrap();
-        let (k, _) = kv(5);
-        for _ in 0..50 {
-            t.upsert(&k, &3u64.to_le_bytes()).unwrap();
-        }
-        let got = t.get(&k).unwrap().unwrap();
-        assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), 150);
-    }
-
-    #[test]
-    fn range_spans_buffers_and_subleaves() {
-        let mut t = tree(4, 512);
-        for i in 0..1000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        let out = t.range(&key_from_u64(200), &key_from_u64(260)).unwrap();
-        assert_eq!(out.len(), 60);
-        for (j, (k, v)) in out.iter().enumerate() {
-            let (ek, ev) = kv(200 + j as u64);
-            assert_eq!((k, v), (&ek, &ev), "at {j}");
-        }
-    }
-
-    #[test]
-    fn range_sees_fresh_tombstones() {
-        let mut t = tree(4, 512);
-        for i in 0..500 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        t.drain_all().unwrap();
-        for i in 200..210 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        let out = t.range(&key_from_u64(195), &key_from_u64(215)).unwrap();
-        let keys: Vec<u64> = out
-            .iter()
-            .map(|(k, _)| dam_kv::key_to_u64(k).unwrap())
-            .collect();
-        assert_eq!(keys, vec![195, 196, 197, 198, 199, 210, 211, 212, 213, 214]);
-    }
-
-    #[test]
-    fn bulk_load_matches_incremental() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let pairs: Vec<_> = (0..3000).map(kv).collect();
-        let mut t =
-            OptBeTree::bulk_load(dev, OptConfig::new(4, 512, 1 << 20), pairs.clone()).unwrap();
-        t.check_invariants().unwrap();
-        assert_eq!(t.len().unwrap(), 3000);
-        for (k, v) in pairs.iter().step_by(113) {
-            assert_eq!(t.get(k).unwrap().as_ref(), Some(v));
-        }
-        for i in 0..200 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        assert_eq!(t.len().unwrap(), 2800);
-        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -1608,10 +1408,7 @@ mod tests {
     #[test]
     fn structural_ops_use_whole_node_ios() {
         let mut t = tree(4, 512);
-        for i in 0..2000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
+        insert_all(&mut t, 0..2000);
         t.flush().unwrap();
         let c = t.pager().counters();
         // All writes are whole nodes.
@@ -1623,10 +1420,7 @@ mod tests {
     fn insert_amortization_beats_node_per_insert() {
         let mut t = tree(8, 1024);
         let n = 5000u64;
-        for i in 0..n {
-            let (k, v) = kv((i * 2654435761) % (1 << 30));
-            t.insert(&k, &v).unwrap();
-        }
+        insert_all(&mut t, (0..n).map(|i| (i * 2654435761) % (1 << 30)));
         t.flush().unwrap();
         let per_insert = t.pager().counters().bytes_written as f64 / n as f64;
         assert!(
@@ -1636,22 +1430,20 @@ mod tests {
         );
     }
 
+    /// `len` drains pending messages: the count is exact and stable, and
+    /// the drain's IO is attributed to `last_op_cost`.
     #[test]
-    fn bulk_load_rejects_unsorted() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 24, SimDuration(1000))));
-        assert!(matches!(
-            OptBeTree::bulk_load(dev, OptConfig::new(4, 512, 1 << 20), vec![kv(2), kv(1)]),
-            Err(KvError::Config(_))
-        ));
-    }
-
-    #[test]
-    fn oversized_entry_rejected() {
-        let mut t = tree(4, 256);
-        assert!(matches!(
-            t.insert(b"k", &vec![0u8; 400]),
-            Err(KvError::Config(_))
-        ));
+    fn len_drains_and_attributes_its_io() {
+        let mut t = tree(4, 512);
+        insert_all(&mut t, 0..700);
+        for i in 0..100 {
+            t.delete(&key_from_u64(i)).unwrap();
+        }
+        t.drop_cache().unwrap();
+        assert_eq!(t.len().unwrap(), 600);
+        assert!(t.last_op_cost().ios > 0, "len's drain should be attributed");
+        assert_eq!(t.check_invariants().unwrap(), 600);
+        assert_eq!(t.len().unwrap(), 600, "idempotent");
     }
 
     #[test]
@@ -1660,89 +1452,5 @@ mod tests {
         // ~9039 entries → F ≈ 96, seg ≈ 5461.
         assert!((90..=100).contains(&cfg.fanout), "fanout {}", cfg.fanout);
         assert!(cfg.node_bytes() >= (1 << 20) - cfg.seg_bytes * 2);
-    }
-
-    #[test]
-    fn persist_and_open_roundtrip() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        {
-            let mut t = OptBeTree::create(dev.clone(), OptConfig::new(4, 512, 1 << 20)).unwrap();
-            for i in 0..1200 {
-                let (k, v) = kv(i);
-                t.insert(&k, &v).unwrap();
-            }
-            for i in 0..100 {
-                let (k, _) = kv(i * 2);
-                t.delete(&k).unwrap();
-            }
-            // Deliberately persist with messages still buffered at the root:
-            // the superblock must carry them.
-            t.persist().unwrap();
-        }
-        let mut reopened = OptBeTree::open(dev, OptConfig::new(4, 512, 1 << 20)).unwrap();
-        reopened.check_invariants().unwrap();
-        assert_eq!(reopened.len().unwrap(), 1100);
-        for i in 0..1200 {
-            let (k, v) = kv(i);
-            let expect = if i % 2 == 0 && i < 200 { None } else { Some(v) };
-            assert_eq!(reopened.get(&k).unwrap(), expect, "key {i}");
-        }
-        let (k, _) = kv(600);
-        reopened.insert(&k, b"fresh").unwrap();
-        assert_eq!(reopened.get(&k).unwrap(), Some(b"fresh".to_vec()));
-    }
-
-    #[test]
-    fn open_blank_or_mismatched_errors() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 24, SimDuration(1000))));
-        assert!(matches!(
-            OptBeTree::open(dev.clone(), OptConfig::new(4, 512, 1 << 16)),
-            Err(KvError::Corrupt(_))
-        ));
-        let mut t = OptBeTree::create(dev.clone(), OptConfig::new(4, 512, 1 << 16)).unwrap();
-        let (k, v) = kv(1);
-        t.insert(&k, &v).unwrap();
-        t.persist().unwrap();
-        drop(t);
-        assert!(matches!(
-            OptBeTree::open(dev, OptConfig::new(8, 512, 1 << 16)),
-            Err(KvError::Config(_))
-        ));
-    }
-
-    #[test]
-    fn drain_then_count_consistent() {
-        let mut t = tree(4, 512);
-        for i in 0..700 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        for i in 0..100 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        assert_eq!(t.len().unwrap(), 600);
-        t.check_invariants().unwrap();
-        // Idempotent.
-        assert_eq!(t.len().unwrap(), 600);
-    }
-
-    /// Regression (dam-check): `len` drains pending messages, so its IO
-    /// must be attributed to `last_op_cost` — and a failed operation must
-    /// report zero cost rather than the previous operation's numbers.
-    #[test]
-    fn len_and_failed_ops_follow_cost_contract() {
-        let mut t = tree(4, 1024);
-        for i in 0..800 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        // Cold cache: the drain inside `len` must hit the device.
-        t.drop_cache().unwrap();
-        assert_eq!(t.len().unwrap(), 800);
-        assert!(t.last_op_cost().ios > 0, "len's drain should be attributed");
-        let err = t.insert(b"big", &vec![0u8; 4096]);
-        assert!(matches!(err, Err(KvError::Config(_))));
-        assert_eq!(t.last_op_cost(), OpCost::default(), "failed op is free");
     }
 }

@@ -1,8 +1,7 @@
 //! The standard Bε-tree: whole-node IOs, per-child buffers, flush-on-overflow.
 
 use crate::node::{
-    buffer_insert, buffer_merge, decode_alloc_state, encode_alloc_state, BeNode, NodeId,
-    LEAF_ENTRY_OVERHEAD, NODE_HEADER_BYTES,
+    buffer_insert, buffer_merge, BeNode, NodeId, LEAF_ENTRY_OVERHEAD, NODE_HEADER_BYTES,
 };
 use dam_cache::Pager;
 use dam_kv::codec::{Reader, Writer};
@@ -142,7 +141,7 @@ impl BeTree {
         w.put_u64(self.next_seq);
         w.put_u64(self.node_bytes as u64);
         w.put_u32(self.max_fanout as u32);
-        encode_alloc_state(&mut w, &self.pager);
+        self.pager.write_alloc(&mut w);
         let payload = w.into_bytes();
         if (payload.len() + dam_kv::codec::FRAME_OVERHEAD) as u64 > SUPERBLOCK_BYTES {
             return Err(KvError::Config(
@@ -183,8 +182,7 @@ impl BeTree {
                 cfg.node_bytes
             )));
         }
-        let (high_water, free) = decode_alloc_state(&mut r).map_err(dec)?;
-        pager.restore_alloc(high_water, free, SUPERBLOCK_BYTES);
+        pager.read_alloc(&mut r, SUPERBLOCK_BYTES).map_err(dec)?;
         Ok(BeTree {
             pager,
             node_bytes: cfg.node_bytes,
@@ -1235,308 +1233,32 @@ impl Dictionary for BeTree {
 
 #[cfg(test)]
 mod tests {
+    //! Bε-tree-specific behaviour. The contract every dictionary shares is
+    //! checked once, for all four, by `tests/dictionary_contract.rs`.
+
     use super::*;
     use dam_kv::key_from_u64;
-    use dam_kv::msg::CounterMerge;
-    use dam_storage::{FaultInjector, FaultMode, RamDisk, SimDuration};
+    use dam_storage::{RamDisk, SimDuration};
 
     fn tree(node_bytes: usize, fanout: usize) -> BeTree {
         let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
         BeTree::create(dev, BeTreeConfig::new(node_bytes, fanout, 1 << 20)).unwrap()
     }
 
-    #[test]
-    fn surfaced_faults_never_lose_acked_updates() {
-        // Regression (found by dam-check): a fault during a buffer-flush
-        // cascade used to drop the message batch taken from the parent's
-        // buffer. Mutations are retried until Ok; the final state must
-        // match a shadow map exactly.
-        let (inj, switch) = FaultInjector::new(RamDisk::new(1 << 26, SimDuration(200)));
-        let dev = SharedDevice::new(Box::new(inj));
-        let mut t = BeTree::create(dev, BeTreeConfig::new(2048, 4, 1 << 16)).unwrap();
-        switch.set(FaultMode::Probabilistic {
-            num: 1,
-            denom: 48,
-            seed: 11,
-        });
-        let mut shadow: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
-            std::collections::BTreeMap::new();
-        let mut rng = 0x9e37_79b9u64;
-        let mut next = move || {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            rng >> 33
-        };
-        for i in 0..4000u64 {
-            let k = key_from_u64(next() % 700).to_vec();
-            if next() % 10 < 7 {
-                let v = format!("v{i:06}").into_bytes();
-                let mut tries = 0;
-                while let Err(e) = t.insert(&k, &v) {
-                    tries += 1;
-                    assert!(tries < 200, "insert never converged: {e}");
-                }
-                shadow.insert(k, v);
-            } else {
-                let mut tries = 0;
-                while let Err(e) = t.delete(&k) {
-                    tries += 1;
-                    assert!(tries < 200, "delete never converged: {e}");
-                }
-                shadow.remove(&k);
-            }
-        }
-        switch.set(FaultMode::None);
-        let dump = t.range(&[], &[0xFF; 17]).unwrap();
-        let want: Vec<(Vec<u8>, Vec<u8>)> =
-            shadow.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        assert_eq!(dump, want);
-        assert_eq!(t.len().unwrap(), shadow.len() as u64);
-    }
-
-    fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {
-        (
-            key_from_u64(i).to_vec(),
-            format!("value-{i:08}").into_bytes(),
-        )
-    }
-
-    #[test]
-    fn empty_tree() {
-        let mut t = tree(1024, 4);
-        assert_eq!(t.get(b"x").unwrap(), None);
-        assert_eq!(t.len().unwrap(), 0);
-        assert!(t.range(b"a", b"z").unwrap().is_empty());
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn insert_get_small() {
-        let mut t = tree(1024, 4);
-        for i in 0..50 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        for i in 0..50 {
-            let (k, v) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), Some(v), "key {i}");
-        }
-        assert_eq!(t.get(&key_from_u64(50)).unwrap(), None);
-    }
-
-    #[test]
-    fn insert_get_through_many_flushes() {
-        let mut t = tree(1024, 4);
-        for i in 0..2000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        assert!(t.height() >= 3, "height {}", t.height());
-        t.check_invariants().unwrap();
-        for i in (0..2000).step_by(37) {
-            let (k, v) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), Some(v), "key {i}");
-        }
-        assert_eq!(t.len().unwrap(), 2000);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn random_insertion_order() {
-        let mut t = tree(1024, 4);
-        // Deterministic pseudo-random permutation of 0..1000.
-        let mut keys: Vec<u64> = (0..1000).map(|i| (i * 739) % 1000).collect();
-        keys.dedup();
-        for &i in &keys {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        t.check_invariants().unwrap();
-        for &i in &keys {
-            let (k, v) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), Some(v));
-        }
-    }
-
-    #[test]
-    fn overwrite_latest_wins() {
-        let mut t = tree(1024, 4);
-        let (k, _) = kv(7);
-        for round in 0..100u32 {
-            t.insert(&k, &round.to_le_bytes()).unwrap();
-        }
-        assert_eq!(t.get(&k).unwrap(), Some(99u32.to_le_bytes().to_vec()));
-        assert_eq!(t.len().unwrap(), 1);
-    }
-
-    #[test]
-    fn delete_via_tombstone() {
-        let mut t = tree(1024, 4);
-        for i in 0..500 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        for i in (0..500).step_by(2) {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        for i in 0..500 {
-            let (k, v) = kv(i);
-            let expect = if i % 2 == 0 { None } else { Some(v) };
-            assert_eq!(t.get(&k).unwrap(), expect, "key {i}");
-        }
-        assert_eq!(t.len().unwrap(), 250);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn delete_everything() {
-        let mut t = tree(1024, 4);
-        for i in 0..300 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        for i in 0..300 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        assert_eq!(t.len().unwrap(), 0);
-        for i in 0..300 {
-            let (k, _) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), None);
-        }
-    }
-
-    #[test]
-    fn delete_of_absent_key_is_noop() {
-        let mut t = tree(1024, 4);
-        let (k0, v0) = kv(1);
-        t.insert(&k0, &v0).unwrap();
-        t.delete(&key_from_u64(999)).unwrap();
-        assert_eq!(t.len().unwrap(), 1);
-    }
-
-    #[test]
-    fn upsert_counters_accumulate() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let mut cfg = BeTreeConfig::new(1024, 4, 1 << 20);
-        cfg.merge = Box::new(CounterMerge);
-        let mut t = BeTree::create(dev, cfg).unwrap();
-        let (k, _) = kv(3);
-        for _ in 0..10 {
-            t.upsert(&k, &5u64.to_le_bytes()).unwrap();
-        }
-        let got = t.get(&k).unwrap().unwrap();
-        assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), 50);
-    }
-
-    #[test]
-    fn upserts_spanning_flushes() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let mut cfg = BeTreeConfig::new(1024, 4, 1 << 20);
-        cfg.merge = Box::new(CounterMerge);
-        let mut t = BeTree::create(dev, cfg).unwrap();
-        // Interleave hot-key upserts with bulk traffic that forces flushes.
-        let (hot, _) = kv(500);
-        for i in 0..1000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-            if i % 3 == 0 {
-                t.upsert(&hot, &1u64.to_le_bytes()).unwrap();
-            }
-        }
-        let got = t.get(&hot).unwrap().unwrap();
-        let n = u64::from_le_bytes(got[..8].try_into().unwrap());
-        // The Put at i = 500 (seq order!) overwrites the 167 upserts queued
-        // before it; the 167 upserts with i in (500, 999] merge over its
-        // value bytes, which CounterMerge reads as a u64.
-        let base = {
-            let (_, v) = kv(500);
-            let mut a = [0u8; 8];
-            a.copy_from_slice(&v[..8]);
-            u64::from_le_bytes(a)
-        };
-        assert_eq!(n, base.wrapping_add(167));
-    }
-
-    #[test]
-    fn range_sees_through_buffers() {
-        let mut t = tree(2048, 4);
-        // Insert enough that some messages are still buffered high in the
-        // tree, then range over everything.
-        for i in 0..800 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        let out = t.range(&key_from_u64(100), &key_from_u64(120)).unwrap();
-        assert_eq!(out.len(), 20);
-        for (j, (k, v)) in out.iter().enumerate() {
-            let (ek, ev) = kv(100 + j as u64);
-            assert_eq!((k, v), (&ek, &ev));
-        }
-    }
-
-    #[test]
-    fn range_sees_buffered_deletes() {
-        let mut t = tree(2048, 4);
-        for i in 0..400 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        t.drain_all().unwrap();
-        // Freshly buffered tombstones, not yet at leaves.
-        for i in 100..110 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        let out = t.range(&key_from_u64(95), &key_from_u64(115)).unwrap();
-        let keys: Vec<u64> = out
-            .iter()
-            .map(|(k, _)| dam_kv::key_to_u64(k).unwrap())
-            .collect();
-        assert_eq!(keys, vec![95, 96, 97, 98, 99, 110, 111, 112, 113, 114]);
+    fn insert(t: &mut BeTree, i: u64) {
+        let v = format!("value-{i:08}").into_bytes();
+        t.insert(&key_from_u64(i), &v).unwrap();
     }
 
     #[test]
     fn drain_moves_everything_to_leaves() {
         let mut t = tree(1024, 4);
         for i in 0..500 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
+            insert(&mut t, i);
         }
         t.drain_all().unwrap();
         t.check_invariants().unwrap();
         assert_eq!(t.count, 500, "after drain, all keys live at leaves");
-    }
-
-    #[test]
-    fn bulk_load_matches_incremental() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let pairs: Vec<_> = (0..2000).map(kv).collect();
-        let mut t =
-            BeTree::bulk_load(dev, BeTreeConfig::new(1024, 4, 1 << 20), pairs.clone()).unwrap();
-        t.check_invariants().unwrap();
-        assert_eq!(t.len().unwrap(), 2000);
-        for (k, v) in pairs.iter().step_by(97) {
-            assert_eq!(t.get(k).unwrap().as_ref(), Some(v));
-        }
-        // Mutate after bulk load.
-        for i in 0..100 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        assert_eq!(t.len().unwrap(), 1900);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn bulk_load_rejects_unsorted() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 24, SimDuration(1000))));
-        assert!(matches!(
-            BeTree::bulk_load(dev, BeTreeConfig::new(1024, 4, 1 << 20), vec![kv(2), kv(1)]),
-            Err(KvError::Config(_))
-        ));
     }
 
     #[test]
@@ -1546,8 +1268,7 @@ mod tests {
         let mut t = tree(4096, 8);
         let n = 5000u64;
         for i in 0..n {
-            let (k, v) = kv((i * 2654435761) % (1 << 30));
-            t.insert(&k, &v).unwrap();
+            insert(&mut t, (i * 2654435761) % (1 << 30));
         }
         t.flush().unwrap();
         let written = t.pager().counters().bytes_written;
@@ -1560,60 +1281,25 @@ mod tests {
         );
     }
 
+    /// A cold get reads the root-to-leaf path, and `len` attributes the IO
+    /// of the drain it runs to `last_op_cost`.
     #[test]
-    fn cost_accounting_reports_io() {
+    fn cold_get_and_len_drain_are_attributed() {
         let mut t = tree(1024, 4);
         for i in 0..1000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
+            insert(&mut t, i);
         }
         t.drop_cache().unwrap();
-        let (k, _) = kv(777);
-        t.get(&k).unwrap();
+        t.get(&key_from_u64(777)).unwrap();
         let c = t.last_op_cost();
         assert!(
             c.ios as u32 >= t.height() - 1,
             "cold query should read the path"
         );
         assert!(c.io_time_ns > 0);
-    }
-
-    #[test]
-    fn persist_and_open_roundtrip() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        {
-            let mut t = BeTree::create(dev.clone(), BeTreeConfig::new(1024, 4, 1 << 20)).unwrap();
-            for i in 0..1200 {
-                let (k, v) = kv(i);
-                t.insert(&k, &v).unwrap();
-            }
-            for i in 0..100 {
-                let (k, _) = kv(i * 2);
-                t.delete(&k).unwrap();
-            }
-            t.persist().unwrap();
-        }
-        let mut reopened = BeTree::open(dev, BeTreeConfig::new(1024, 4, 1 << 20)).unwrap();
-        reopened.check_invariants().unwrap();
-        assert_eq!(reopened.len().unwrap(), 1100);
-        for i in 0..1200 {
-            let (k, v) = kv(i);
-            let expect = if i % 2 == 0 && i < 200 { None } else { Some(v) };
-            assert_eq!(reopened.get(&k).unwrap(), expect, "key {i}");
-        }
-        // Sequence numbers keep advancing: a new overwrite beats old state.
-        let (k, _) = kv(500);
-        reopened.insert(&k, b"fresh").unwrap();
-        assert_eq!(reopened.get(&k).unwrap(), Some(b"fresh".to_vec()));
-    }
-
-    #[test]
-    fn open_blank_device_errors() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 20, SimDuration(1000))));
-        assert!(matches!(
-            BeTree::open(dev, BeTreeConfig::new(1024, 4, 1 << 16)),
-            Err(KvError::Corrupt(_))
-        ));
+        t.drop_cache().unwrap();
+        assert_eq!(t.len().unwrap(), 1000);
+        assert!(t.last_op_cost().ios > 0, "len's drain should be attributed");
     }
 
     #[test]
@@ -1621,33 +1307,5 @@ mod tests {
         let cfg = BeTreeConfig::sqrt_fanout(1 << 20, 116, 1 << 20);
         // B_entries ≈ 9039, F ≈ 96.
         assert!((90..=100).contains(&cfg.fanout), "fanout {}", cfg.fanout);
-    }
-
-    #[test]
-    fn oversized_entry_rejected() {
-        let mut t = tree(512, 4);
-        assert!(matches!(
-            t.insert(b"k", &vec![0u8; 600]),
-            Err(KvError::Config(_))
-        ));
-    }
-
-    /// Regression (dam-check): `len` drains buffered messages, so its IO
-    /// must be attributed to `last_op_cost` — and a failed operation must
-    /// report zero cost rather than the previous operation's numbers.
-    #[test]
-    fn len_and_failed_ops_follow_cost_contract() {
-        let mut t = tree(1024, 4);
-        for i in 0..800 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        // Cold cache: the drain inside `len` must hit the device.
-        t.drop_cache().unwrap();
-        assert_eq!(t.len().unwrap(), 800);
-        assert!(t.last_op_cost().ios > 0, "len's drain should be attributed");
-        let err = t.insert(b"big", &vec![0u8; 2048]);
-        assert!(matches!(err, Err(KvError::Config(_))));
-        assert_eq!(t.last_op_cost(), OpCost::default(), "failed op is free");
     }
 }

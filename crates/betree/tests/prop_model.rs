@@ -1,8 +1,9 @@
-//! Property tests: both Bε-tree variants behave exactly like
-//! `std::collections::BTreeMap` under arbitrary operation sequences —
-//! message buffering, flushing, and segment IO are invisible to semantics.
+//! Property tests: counter upserts on both Bε-tree variants match an exact
+//! model under arbitrary flush schedules. The model check every dictionary
+//! shares lives in `tests/dictionary_contract.rs`.
 
 use dam_betree::{BeTree, BeTreeConfig, OptBeTree, OptConfig};
+use dam_kv::msg::CounterMerge;
 use dam_kv::{key_from_u64, Dictionary};
 use dam_stats::prop::vec;
 use dam_stats::{property, SplitMix64};
@@ -11,269 +12,100 @@ use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert(u16, u8),
-    Delete(u16),
-    Get(u16),
-    Range(u16, u16),
+    Add(u8, u8),
+    Put(u8, u64),
+    Delete(u8),
+    Get(u8),
     Drain,
-    DropCache,
 }
 
-/// Weights 5:2:2:1:1:1 over a 512-key space.
+/// Weights 5:2:1:2:1 over a 64-key space.
 fn gen_op(r: &mut SplitMix64) -> Op {
-    let k = r.below(512) as u16;
-    match r.below(12) {
-        0..=4 => Op::Insert(k, r.byte()),
-        5..=6 => Op::Delete(k),
-        7..=8 => Op::Get(k),
-        9 => Op::Range(k, r.below(512) as u16),
-        10 => Op::Drain,
-        _ => Op::DropCache,
+    let k = r.below(64) as u8;
+    match r.below(11) {
+        0..=4 => Op::Add(k, r.byte()),
+        5..=6 => Op::Put(k, r.next_u64()),
+        7 => Op::Delete(k),
+        8..=9 => Op::Get(k),
+        _ => Op::Drain,
     }
 }
 
-fn value_for(v: u8) -> Vec<u8> {
-    vec![v; 8 + (v as usize % 16)]
-}
-
-fn check_against_model<T: Dictionary>(
-    tree: &mut T,
-    ops: Vec<Op>,
-    drain: impl Fn(&mut T),
-    drop_cache: impl Fn(&mut T),
-) {
-    let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    for op in ops {
-        match op {
-            Op::Insert(k, v) => {
-                let value = value_for(v);
-                tree.insert(&key_from_u64(k as u64), &value).unwrap();
-                model.insert(k as u64, value);
+/// Drive a tree and an exact counter model (Put sets, Add increments
+/// from 0 when absent, Delete removes) through the same ops.
+fn run_case<T, U>(mut tree: T, ops: Vec<Op>, upsert: U, drain: impl Fn(&mut T))
+where
+    T: Dictionary,
+    U: Fn(&mut T, &[u8], u64),
+{
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    for op in &ops {
+        match *op {
+            Op::Add(k, d) => {
+                let key = key_from_u64(k as u64);
+                upsert(&mut tree, &key, d as u64);
+                *model.entry(k as u64).or_insert(0) = model
+                    .get(&(k as u64))
+                    .copied()
+                    .unwrap_or(0)
+                    .wrapping_add(d as u64);
+            }
+            Op::Put(k, v) => {
+                let key = key_from_u64(k as u64);
+                tree.insert(&key, &v.to_le_bytes()).unwrap();
+                model.insert(k as u64, v);
             }
             Op::Delete(k) => {
                 tree.delete(&key_from_u64(k as u64)).unwrap();
                 model.remove(&(k as u64));
             }
             Op::Get(k) => {
-                let got = tree.get(&key_from_u64(k as u64)).unwrap();
-                assert_eq!(got.as_ref(), model.get(&(k as u64)));
+                let got = tree
+                    .get(&key_from_u64(k as u64))
+                    .unwrap()
+                    .map(|v| u64::from_le_bytes(v.try_into().unwrap()));
+                assert_eq!(got, model.get(&(k as u64)).copied(), "key {k}");
             }
-            Op::Range(a, b) => {
-                let (lo, hi) = (a.min(b) as u64, a.max(b) as u64);
-                let got = tree.range(&key_from_u64(lo), &key_from_u64(hi)).unwrap();
-                let expect: Vec<(Vec<u8>, Vec<u8>)> = model
-                    .range(lo..hi)
-                    .map(|(&k, v)| (key_from_u64(k).to_vec(), v.clone()))
-                    .collect();
-                assert_eq!(got, expect);
-            }
-            Op::Drain => drain(tree),
-            Op::DropCache => drop_cache(tree),
+            Op::Drain => drain(&mut tree),
         }
     }
-    // Final audit: exact count and full scan.
-    assert_eq!(tree.len().unwrap(), model.len() as u64);
-    let all = tree.range(&[], &[0xFF; 17]).unwrap();
-    let expect: Vec<(Vec<u8>, Vec<u8>)> = model
-        .iter()
-        .map(|(&k, v)| (key_from_u64(k).to_vec(), v.clone()))
-        .collect();
-    assert_eq!(all, expect);
+    for (&k, &v) in &model {
+        let got = tree
+            .get(&key_from_u64(k))
+            .unwrap()
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()));
+        assert_eq!(got, Some(v), "final check key {k}");
+    }
 }
 
 property! {
-    cases = 40, rng = r;
+    cases = 32, rng = r;
 
     #[test]
-    fn standard_betree_equals_btreemap(
-        ops in vec(r, 1..250, gen_op),
-        node_bytes in [512, 1024, 4096][r.below(3) as usize],
-        fanout in r.range(2..8) as usize,
-    ) {
+    fn standard_counter_upserts_match_model(ops in vec(r, 1..200, gen_op)) {
         let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 26, SimDuration(100))));
-        let mut tree =
-            BeTree::create(dev, BeTreeConfig::new(node_bytes, fanout, 1 << 16)).unwrap();
-        check_against_model(
-            &mut tree,
+        let mut cfg = BeTreeConfig::new(512, 3, 1 << 16);
+        cfg.merge = Box::new(CounterMerge);
+        let tree = BeTree::create(dev, cfg).unwrap();
+        run_case(
+            tree,
             ops,
+            |t, k, d| t.upsert(k, &d.to_le_bytes()).unwrap(),
             |t| t.drain_all().unwrap(),
-            |t| t.drop_cache().unwrap(),
         );
-        tree.check_invariants().unwrap();
     }
 
     #[test]
-    fn opt_betree_equals_btreemap(
-        ops in vec(r, 1..250, gen_op),
-        seg_bytes in [256, 512, 1024][r.below(3) as usize],
-        fanout in r.range(2..8) as usize,
-    ) {
+    fn optimized_counter_upserts_match_model(ops in vec(r, 1..200, gen_op)) {
         let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 26, SimDuration(100))));
-        let mut tree =
-            OptBeTree::create(dev, OptConfig::new(fanout, seg_bytes, 1 << 16)).unwrap();
-        check_against_model(
-            &mut tree,
+        let mut cfg = OptConfig::new(3, 384, 1 << 16);
+        cfg.merge = Box::new(CounterMerge);
+        let tree = OptBeTree::create(dev, cfg).unwrap();
+        run_case(
+            tree,
             ops,
+            |t, k, d| t.upsert(k, &d.to_le_bytes()).unwrap(),
             |t| t.drain_all().unwrap(),
-            |t| t.drop_cache().unwrap(),
         );
-        tree.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn variants_agree_with_each_other(
-        ops in vec(r, 1..150, gen_op),
-    ) {
-        let dev1 = SharedDevice::new(Box::new(RamDisk::new(1 << 26, SimDuration(100))));
-        let mut std_tree = BeTree::create(dev1, BeTreeConfig::new(1024, 4, 1 << 16)).unwrap();
-        let dev2 = SharedDevice::new(Box::new(RamDisk::new(1 << 26, SimDuration(100))));
-        let mut opt_tree = OptBeTree::create(dev2, OptConfig::new(4, 512, 1 << 16)).unwrap();
-        for op in &ops {
-            match op {
-                Op::Insert(k, v) => {
-                    let value = value_for(*v);
-                    std_tree.insert(&key_from_u64(*k as u64), &value).unwrap();
-                    opt_tree.insert(&key_from_u64(*k as u64), &value).unwrap();
-                }
-                Op::Delete(k) => {
-                    std_tree.delete(&key_from_u64(*k as u64)).unwrap();
-                    opt_tree.delete(&key_from_u64(*k as u64)).unwrap();
-                }
-                Op::Get(k) => {
-                    let a = std_tree.get(&key_from_u64(*k as u64)).unwrap();
-                    let b = opt_tree.get(&key_from_u64(*k as u64)).unwrap();
-                    assert_eq!(a, b);
-                }
-                Op::Range(a, b) => {
-                    let (lo, hi) = ((*a.min(b)) as u64, (*a.max(b)) as u64);
-                    let x = std_tree.range(&key_from_u64(lo), &key_from_u64(hi)).unwrap();
-                    let y = opt_tree.range(&key_from_u64(lo), &key_from_u64(hi)).unwrap();
-                    assert_eq!(x, y);
-                }
-                Op::Drain => {
-                    std_tree.drain_all().unwrap();
-                    opt_tree.drain_all().unwrap();
-                }
-                Op::DropCache => {
-                    std_tree.drop_cache().unwrap();
-                    opt_tree.drop_cache().unwrap();
-                }
-            }
-        }
-        assert_eq!(std_tree.len().unwrap(), opt_tree.len().unwrap());
-    }
-}
-
-// ----------------------------------------------------------------------
-// Upsert semantics under arbitrary flush schedules
-// ----------------------------------------------------------------------
-
-mod upserts {
-    use dam_betree::{BeTree, BeTreeConfig, OptBeTree, OptConfig};
-    use dam_kv::msg::CounterMerge;
-    use dam_kv::{key_from_u64, Dictionary};
-    use dam_stats::prop::vec;
-    use dam_stats::{property, SplitMix64};
-    use dam_storage::{RamDisk, SharedDevice, SimDuration};
-    use std::collections::BTreeMap;
-
-    #[derive(Debug, Clone)]
-    enum Op {
-        Add(u8, u8),
-        Put(u8, u64),
-        Delete(u8),
-        Get(u8),
-        Drain,
-    }
-
-    /// Weights 5:2:1:2:1 over a 64-key space.
-    fn gen_op(r: &mut SplitMix64) -> Op {
-        let k = r.below(64) as u8;
-        match r.below(11) {
-            0..=4 => Op::Add(k, r.byte()),
-            5..=6 => Op::Put(k, r.next_u64()),
-            7 => Op::Delete(k),
-            8..=9 => Op::Get(k),
-            _ => Op::Drain,
-        }
-    }
-
-    /// Drive a tree and an exact counter model (Put sets, Add increments
-    /// from 0 when absent, Delete removes) through the same ops.
-    fn run_case<T, U>(mut tree: T, ops: Vec<Op>, upsert: U, drain: impl Fn(&mut T))
-    where
-        T: Dictionary,
-        U: Fn(&mut T, &[u8], u64),
-    {
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for op in &ops {
-            match *op {
-                Op::Add(k, d) => {
-                    let key = key_from_u64(k as u64);
-                    upsert(&mut tree, &key, d as u64);
-                    *model.entry(k as u64).or_insert(0) = model
-                        .get(&(k as u64))
-                        .copied()
-                        .unwrap_or(0)
-                        .wrapping_add(d as u64);
-                }
-                Op::Put(k, v) => {
-                    let key = key_from_u64(k as u64);
-                    tree.insert(&key, &v.to_le_bytes()).unwrap();
-                    model.insert(k as u64, v);
-                }
-                Op::Delete(k) => {
-                    tree.delete(&key_from_u64(k as u64)).unwrap();
-                    model.remove(&(k as u64));
-                }
-                Op::Get(k) => {
-                    let got = tree
-                        .get(&key_from_u64(k as u64))
-                        .unwrap()
-                        .map(|v| u64::from_le_bytes(v.try_into().unwrap()));
-                    assert_eq!(got, model.get(&(k as u64)).copied(), "key {k}");
-                }
-                Op::Drain => drain(&mut tree),
-            }
-        }
-        for (&k, &v) in &model {
-            let got = tree
-                .get(&key_from_u64(k))
-                .unwrap()
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()));
-            assert_eq!(got, Some(v), "final check key {k}");
-        }
-    }
-
-    property! {
-        cases = 32, rng = r;
-
-        #[test]
-        fn standard_counter_upserts_match_model(ops in vec(r, 1..200, gen_op)) {
-            let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 26, SimDuration(100))));
-            let mut cfg = BeTreeConfig::new(512, 3, 1 << 16);
-            cfg.merge = Box::new(CounterMerge);
-            let tree = BeTree::create(dev, cfg).unwrap();
-            run_case(
-                tree,
-                ops,
-                |t, k, d| t.upsert(k, &d.to_le_bytes()).unwrap(),
-                |t| t.drain_all().unwrap(),
-            );
-        }
-
-        #[test]
-        fn optimized_counter_upserts_match_model(ops in vec(r, 1..200, gen_op)) {
-            let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 26, SimDuration(100))));
-            let mut cfg = OptConfig::new(3, 384, 1 << 16);
-            cfg.merge = Box::new(CounterMerge);
-            let tree = OptBeTree::create(dev, cfg).unwrap();
-            run_case(
-                tree,
-                ops,
-                |t, k, d| t.upsert(k, &d.to_le_bytes()).unwrap(),
-                |t| t.drain_all().unwrap(),
-            );
-        }
     }
 }

@@ -87,16 +87,7 @@ impl BTree {
         w.put_u32(self.height);
         w.put_u64(self.count);
         w.put_u64(self.cfg.node_bytes as u64);
-        let (high_water, free) = self.pager.export_alloc();
-        w.put_u64(high_water);
-        w.put_u32(free.len() as u32);
-        for (len, offs) in &free {
-            w.put_u64(*len);
-            w.put_u32(offs.len() as u32);
-            for &o in offs {
-                w.put_u64(o);
-            }
-        }
+        self.pager.write_alloc(&mut w);
         let payload = w.into_bytes();
         if (payload.len() + dam_kv::codec::FRAME_OVERHEAD) as u64 > SUPERBLOCK_BYTES {
             return Err(KvError::Config(format!(
@@ -133,19 +124,7 @@ impl BTree {
                 cfg.node_bytes
             )));
         }
-        let high_water = r.get_u64().map_err(dec)?;
-        let nfree = r.get_u32().map_err(dec)? as usize;
-        let mut free = Vec::with_capacity(nfree);
-        for _ in 0..nfree {
-            let len = r.get_u64().map_err(dec)?;
-            let k = r.get_u32().map_err(dec)? as usize;
-            let mut offs = Vec::with_capacity(k);
-            for _ in 0..k {
-                offs.push(r.get_u64().map_err(dec)?);
-            }
-            free.push((len, offs));
-        }
-        pager.restore_alloc(high_water, free, SUPERBLOCK_BYTES);
+        pager.read_alloc(&mut r, SUPERBLOCK_BYTES).map_err(dec)?;
         Ok(BTree {
             pager,
             cfg,
@@ -925,6 +904,9 @@ impl Dictionary for BTree {
 
 #[cfg(test)]
 mod tests {
+    //! B-tree-specific behaviour. The contract every dictionary shares is
+    //! checked once, for all four, by `tests/dictionary_contract.rs`.
+
     use super::*;
     use dam_kv::key_from_u64;
     use dam_storage::{RamDisk, SimDuration};
@@ -941,221 +923,42 @@ mod tests {
         )
     }
 
-    #[test]
-    fn empty_tree_behaves() {
-        let mut t = tree(512);
-        assert_eq!(t.get(b"nope").unwrap(), None);
-        assert_eq!(t.len().unwrap(), 0);
-        assert!(t.is_empty().unwrap());
-        assert_eq!(t.range(b"a", b"z").unwrap(), vec![]);
-        t.delete(b"nope").unwrap(); // no-op
-        assert_eq!(t.check_invariants().unwrap(), 0);
-    }
-
-    #[test]
-    fn insert_get_roundtrip() {
-        let mut t = tree(512);
-        for i in 0..100 {
+    fn insert_all(t: &mut BTree, n: u64) {
+        for i in 0..n {
             let (k, v) = kv(i);
             t.insert(&k, &v).unwrap();
         }
-        assert_eq!(t.len().unwrap(), 100);
-        for i in 0..100 {
-            let (k, v) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), Some(v), "key {i}");
-        }
-        assert_eq!(t.get(&key_from_u64(100)).unwrap(), None);
-        t.check_invariants().unwrap();
     }
 
     #[test]
-    fn overwrite_replaces_value() {
-        let mut t = tree(512);
-        let (k, v) = kv(1);
-        t.insert(&k, &v).unwrap();
-        t.insert(&k, b"new").unwrap();
-        assert_eq!(t.get(&k).unwrap(), Some(b"new".to_vec()));
-        assert_eq!(t.len().unwrap(), 1);
-    }
-
-    #[test]
-    fn splits_grow_height() {
+    fn splits_grow_height_and_deletes_collapse_the_root() {
         let mut t = tree(256);
         assert_eq!(t.height(), 1);
-        for i in 0..500 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
+        insert_all(&mut t, 500);
         assert!(t.height() >= 3, "height {}", t.height());
-        t.check_invariants().unwrap();
         for i in 0..500 {
-            let (k, v) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), Some(v));
-        }
-    }
-
-    #[test]
-    fn reverse_insertion_order_works() {
-        let mut t = tree(256);
-        for i in (0..300).rev() {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        t.check_invariants().unwrap();
-        for i in 0..300 {
-            let (k, v) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), Some(v));
-        }
-    }
-
-    #[test]
-    fn delete_shrinks_back_to_empty() {
-        let mut t = tree(256);
-        for i in 0..300 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        for i in 0..300 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
+            t.delete(&key_from_u64(i)).unwrap();
             if i % 50 == 0 {
                 t.check_invariants().unwrap();
             }
         }
-        assert_eq!(t.len().unwrap(), 0);
         assert_eq!(t.height(), 1, "root should collapse back to a leaf");
-        t.check_invariants().unwrap();
+        assert_eq!(t.check_invariants().unwrap(), 0);
     }
 
     #[test]
-    fn delete_interleaved_with_queries() {
-        let mut t = tree(256);
-        for i in 0..200 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        // Delete evens.
-        for i in (0..200).step_by(2) {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        t.check_invariants().unwrap();
-        for i in 0..200 {
-            let (k, v) = kv(i);
-            let expect = if i % 2 == 0 { None } else { Some(v) };
-            assert_eq!(t.get(&k).unwrap(), expect, "key {i}");
-        }
-    }
-
-    #[test]
-    fn range_query_returns_sorted_window() {
-        let mut t = tree(256);
-        for i in 0..300 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        let out = t.range(&key_from_u64(50), &key_from_u64(60)).unwrap();
-        assert_eq!(out.len(), 10);
-        for (j, (k, v)) in out.iter().enumerate() {
-            let (ek, ev) = kv(50 + j as u64);
-            assert_eq!((k, v), (&ek, &ev));
-        }
-    }
-
-    #[test]
-    fn range_spanning_everything() {
-        let mut t = tree(256);
-        for i in 0..100 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        let out = t.range(&[], &[0xFF; 17]).unwrap();
-        assert_eq!(out.len(), 100);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn empty_and_inverted_ranges() {
-        let mut t = tree(256);
-        for i in 0..50 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        assert!(t
-            .range(&key_from_u64(10), &key_from_u64(10))
-            .unwrap()
-            .is_empty());
-        assert!(t
-            .range(&key_from_u64(20), &key_from_u64(10))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn bulk_load_equals_incremental() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let pairs: Vec<_> = (0..1000).map(kv).collect();
-        let mut bulk =
-            BTree::bulk_load(dev, BTreeConfig::new(512, 1 << 20), pairs.clone()).unwrap();
-        assert_eq!(bulk.len().unwrap(), 1000);
-        bulk.check_invariants().unwrap();
-        for (k, v) in &pairs {
-            assert_eq!(bulk.get(k).unwrap().as_ref(), Some(v));
-        }
-        let out = bulk.range(&key_from_u64(0), &key_from_u64(1000)).unwrap();
-        assert_eq!(out, pairs);
-    }
-
-    #[test]
-    fn bulk_load_empty_input() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 24, SimDuration(1000))));
-        let mut t = BTree::bulk_load(dev, BTreeConfig::new(512, 1 << 20), vec![]).unwrap();
-        assert_eq!(t.len().unwrap(), 0);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn bulk_load_rejects_unsorted() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 24, SimDuration(1000))));
-        let pairs = vec![kv(5), kv(3)];
-        assert!(matches!(
-            BTree::bulk_load(dev, BTreeConfig::new(512, 1 << 20), pairs),
-            Err(KvError::Config(_))
-        ));
-    }
-
-    #[test]
-    fn bulk_load_then_mutate() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let pairs: Vec<_> = (0..500).map(|i| kv(i * 2)).collect();
-        let mut t = BTree::bulk_load(dev, BTreeConfig::new(512, 1 << 20), pairs).unwrap();
-        // Insert odds between bulk-loaded evens, delete some evens.
-        for i in 0..200 {
-            let (k, v) = kv(i * 2 + 1);
-            t.insert(&k, &v).unwrap();
-        }
-        for i in 0..100 {
-            let (k, _) = kv(i * 4);
-            t.delete(&k).unwrap();
-        }
-        t.check_invariants().unwrap();
-        assert_eq!(t.len().unwrap(), 500 + 200 - 100);
-    }
-
-    #[test]
-    fn oversized_entry_rejected() {
-        let mut t = tree(256);
-        let big = vec![0u8; 500];
-        assert!(matches!(t.insert(b"k", &big), Err(KvError::Config(_))));
+    fn node_size_affects_tree_height() {
+        let mut small = tree(256);
+        let mut large = tree(4096);
+        insert_all(&mut small, 1000);
+        insert_all(&mut large, 1000);
+        assert!(large.height() < small.height());
     }
 
     #[test]
     fn op_cost_reported() {
         let mut t = tree(512);
-        for i in 0..200 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
+        insert_all(&mut t, 200);
         t.drop_cache().unwrap();
         let (k, _) = kv(100);
         t.get(&k).unwrap();
@@ -1171,64 +974,11 @@ mod tests {
     #[test]
     fn cold_query_reads_height_many_nodes() {
         let mut t = tree(512);
-        for i in 0..2000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
+        insert_all(&mut t, 2000);
         t.drop_cache().unwrap();
         let (k, _) = kv(1234);
         t.get(&k).unwrap();
         assert_eq!(t.last_op_cost().ios as u32, t.height());
-    }
-
-    #[test]
-    fn persist_and_open_roundtrip() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let pairs: Vec<_> = (0..1500).map(kv).collect();
-        {
-            let mut t =
-                BTree::bulk_load(dev.clone(), BTreeConfig::new(512, 1 << 20), pairs.clone())
-                    .unwrap();
-            for i in 0..100 {
-                let (k, _) = kv(i * 3);
-                t.delete(&k).unwrap();
-            }
-            t.persist().unwrap();
-        } // tree dropped; only the device survives
-        let mut reopened = BTree::open(dev, BTreeConfig::new(512, 1 << 20)).unwrap();
-        reopened.check_invariants().unwrap();
-        assert_eq!(reopened.len().unwrap(), 1400);
-        for (i, (k, v)) in pairs.iter().enumerate() {
-            let expect = if i % 3 == 0 && i < 300 { None } else { Some(v) };
-            assert_eq!(reopened.get(k).unwrap().as_ref(), expect, "key {i}");
-        }
-        // The reopened tree is fully writable; freed slots are reusable.
-        let (k, v) = kv(9999);
-        reopened.insert(&k, &v).unwrap();
-        assert_eq!(reopened.get(&k).unwrap(), Some(v));
-    }
-
-    #[test]
-    fn open_blank_device_errors() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 20, SimDuration(1000))));
-        assert!(matches!(
-            BTree::open(dev, BTreeConfig::new(512, 1 << 16)),
-            Err(KvError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn open_with_wrong_node_size_errors() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 24, SimDuration(1000))));
-        let mut t = BTree::create(dev.clone(), BTreeConfig::new(512, 1 << 16)).unwrap();
-        let (k, v) = kv(1);
-        t.insert(&k, &v).unwrap();
-        t.persist().unwrap();
-        drop(t);
-        assert!(matches!(
-            BTree::open(dev, BTreeConfig::new(1024, 1 << 16)),
-            Err(KvError::Config(_))
-        ));
     }
 
     #[test]
@@ -1252,37 +1002,5 @@ mod tests {
         t.insert(&k, &v).unwrap();
         t.scatter_leaves(1).unwrap();
         assert_eq!(t.get(&k).unwrap(), Some(v));
-    }
-
-    #[test]
-    fn node_size_affects_tree_height() {
-        let mut small = tree(256);
-        let mut large = tree(4096);
-        for i in 0..1000 {
-            let (k, v) = kv(i);
-            small.insert(&k, &v).unwrap();
-            large.insert(&k, &v).unwrap();
-        }
-        assert!(large.height() < small.height());
-    }
-
-    /// Regression (dam-check): `last_op_cost` must describe the most recent
-    /// operation, even when that operation is `len` (no IO) or an operation
-    /// that fails before touching storage.
-    #[test]
-    fn last_op_cost_resets_per_op() {
-        let mut t = tree(256);
-        for i in 0..500 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        t.sync().unwrap();
-        assert!(t.last_op_cost().ios > 0, "sync should cost IO");
-        assert_eq!(t.len().unwrap(), 500);
-        assert_eq!(t.last_op_cost(), OpCost::default(), "len costs nothing");
-        t.sync().unwrap();
-        let err = t.insert(b"big", &vec![0u8; 4096]);
-        assert!(matches!(err, Err(KvError::Config(_))));
-        assert_eq!(t.last_op_cost(), OpCost::default(), "failed op is free");
     }
 }

@@ -1,34 +1,13 @@
-//! Property tests: the on-disk B-tree behaves exactly like
-//! `std::collections::BTreeMap` under arbitrary operation sequences, while
-//! maintaining its structural invariants.
+//! Property test: a bulk-loaded B-tree holds exactly the pairs it was given,
+//! with its structural invariants intact. The model check every dictionary
+//! shares lives in `tests/dictionary_contract.rs`.
 
 use dam_btree::{BTree, BTreeConfig};
 use dam_kv::{key_from_u64, Dictionary};
 use dam_stats::prop::vec;
-use dam_stats::{property, SplitMix64};
+use dam_stats::property;
 use dam_storage::{RamDisk, SharedDevice, SimDuration};
-use std::collections::{BTreeMap, BTreeSet};
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(u16, u8),
-    Delete(u16),
-    Get(u16),
-    Range(u16, u16),
-    DropCache,
-}
-
-/// Weights 5:2:2:1:1 over a 512-key space.
-fn gen_op(r: &mut SplitMix64) -> Op {
-    let k = r.below(512) as u16;
-    match r.below(11) {
-        0..=4 => Op::Insert(k, r.byte()),
-        5..=6 => Op::Delete(k),
-        7..=8 => Op::Get(k),
-        9 => Op::Range(k, r.below(512) as u16),
-        _ => Op::DropCache,
-    }
-}
+use std::collections::BTreeSet;
 
 fn value_for(v: u8) -> Vec<u8> {
     vec![v; 10 + (v as usize % 20)]
@@ -36,52 +15,6 @@ fn value_for(v: u8) -> Vec<u8> {
 
 property! {
     cases = 48, rng = r;
-
-    #[test]
-    fn btree_equals_btreemap(
-        ops in vec(r, 1..300, gen_op),
-        node_bytes in [256, 512, 1024, 4096][r.below(4) as usize],
-    ) {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 26, SimDuration(100))));
-        let mut tree = BTree::create(dev, BTreeConfig::new(node_bytes, 1 << 16)).unwrap();
-        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-
-        for op in ops {
-            match op {
-                Op::Insert(k, v) => {
-                    let value = value_for(v);
-                    tree.insert(&key_from_u64(k as u64), &value).unwrap();
-                    model.insert(k as u64, value);
-                }
-                Op::Delete(k) => {
-                    tree.delete(&key_from_u64(k as u64)).unwrap();
-                    model.remove(&(k as u64));
-                }
-                Op::Get(k) => {
-                    let got = tree.get(&key_from_u64(k as u64)).unwrap();
-                    assert_eq!(got.as_ref(), model.get(&(k as u64)));
-                }
-                Op::Range(a, b) => {
-                    let (lo, hi) = (a.min(b) as u64, a.max(b) as u64);
-                    let got = tree.range(&key_from_u64(lo), &key_from_u64(hi)).unwrap();
-                    let expect: Vec<(Vec<u8>, Vec<u8>)> = model
-                        .range(lo..hi)
-                        .map(|(&k, v)| (key_from_u64(k).to_vec(), v.clone()))
-                        .collect();
-                    assert_eq!(got, expect);
-                }
-                Op::DropCache => tree.drop_cache().unwrap(),
-            }
-        }
-
-        // Final full audit.
-        assert_eq!(tree.check_invariants().unwrap(), model.len() as u64);
-        assert_eq!(tree.len().unwrap(), model.len() as u64);
-        let all = tree.range(&[], &[0xFF; 17]).unwrap();
-        let expect: Vec<(Vec<u8>, Vec<u8>)> =
-            model.iter().map(|(&k, v)| (key_from_u64(k).to_vec(), v.clone())).collect();
-        assert_eq!(all, expect);
-    }
 
     #[test]
     fn bulk_load_equals_map(

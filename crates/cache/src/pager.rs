@@ -8,6 +8,7 @@
 
 use crate::alloc::Allocator;
 use crate::lru::LruList;
+use dam_kv::codec::{CodecError, Reader, Writer};
 use dam_storage::{IoError, SharedDevice, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -210,16 +211,39 @@ impl Pager {
         self.alloc.live_bytes()
     }
 
-    /// Export allocator state (for a superblock): high-water mark plus free
-    /// lists.
-    pub fn export_alloc(&self) -> (u64, Vec<(u64, Vec<u64>)>) {
-        self.alloc.export_state()
+    /// Append the allocator state to a superblock or manifest: the
+    /// high-water mark, then each free list as its extent length and
+    /// offsets.
+    pub fn write_alloc(&self, w: &mut Writer) {
+        let (high_water, free) = self.alloc.export_state();
+        w.put_u64(high_water);
+        w.put_u32(free.len() as u32);
+        for (len, offs) in &free {
+            w.put_u64(*len);
+            w.put_u32(offs.len() as u32);
+            for &o in offs {
+                w.put_u64(o);
+            }
+        }
     }
 
-    /// Restore allocator state captured by [`Pager::export_alloc`]; the
+    /// Restore allocator state written by [`Pager::write_alloc`]; the
     /// `reserved` value must match the one this pager was built with.
-    pub fn restore_alloc(&mut self, high_water: u64, free: Vec<(u64, Vec<u64>)>, reserved: u64) {
+    pub fn read_alloc(&mut self, r: &mut Reader<'_>, reserved: u64) -> Result<(), CodecError> {
+        let high_water = r.get_u64()?;
+        let nfree = r.get_u32()? as usize;
+        let mut free = Vec::with_capacity(nfree);
+        for _ in 0..nfree {
+            let len = r.get_u64()?;
+            let k = r.get_u32()? as usize;
+            let mut offs = Vec::with_capacity(k);
+            for _ in 0..k {
+                offs.push(r.get_u64()?);
+            }
+            free.push((len, offs));
+        }
         self.alloc.restore_state(high_water, free, reserved);
+        Ok(())
     }
 
     /// Drop a cached object without writing it back.
@@ -580,6 +604,25 @@ mod tests {
     fn pager(cache: u64) -> Pager {
         let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 20, SimDuration(1000))));
         Pager::new(dev, cache, 0)
+    }
+
+    #[test]
+    fn alloc_state_roundtrip() {
+        let mut p = Pager::new(pager(0).device().clone(), 1 << 16, 128);
+        let a = p.alloc(100).unwrap();
+        p.alloc(200).unwrap();
+        p.free(a, 100);
+        let mut w = Writer::new();
+        p.write_alloc(&mut w);
+        let bytes = w.into_bytes();
+
+        let mut q = Pager::new(p.device().clone(), 1 << 16, 128);
+        q.read_alloc(&mut Reader::new(&bytes), 128).unwrap();
+        let mut again = Writer::new();
+        q.write_alloc(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        assert_eq!(q.live_bytes(), p.live_bytes());
+        assert_eq!(q.alloc(100).unwrap(), a, "the freed extent is reused");
     }
 
     #[test]

@@ -221,6 +221,80 @@ pub fn tune(args: &Args) -> Result<String, CliError> {
     ))
 }
 
+/// Preload `keys` even-numbered keys with 100-byte values: bulk-loaded
+/// into the trees, inserted in a scattered order and synced into the LSM.
+/// `obs` is attached after the preload, so it sees only the measured phase.
+fn preload(
+    structure: &str,
+    device: SharedDevice,
+    node_kb: u64,
+    cache_mb: u64,
+    keys: u64,
+    obs: Option<&Obs>,
+) -> Result<Box<dyn Dictionary>, CliError> {
+    let node_bytes = (node_kb * 1024) as usize;
+    let cache = cache_mb << 20;
+    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..keys)
+        .map(|i| {
+            (
+                refined_dam::kv::key_from_u64(2 * i).to_vec(),
+                vec![(i % 251) as u8; 100],
+            )
+        })
+        .collect();
+    match structure {
+        "btree" => observed(
+            BTree::bulk_load(device, BTreeConfig::new(node_bytes, cache), pairs),
+            obs,
+            BTree::set_obs,
+        ),
+        "betree" => observed(
+            BeTree::bulk_load(
+                device,
+                BeTreeConfig::sqrt_fanout(node_bytes, 124, cache),
+                pairs,
+            ),
+            obs,
+            BeTree::set_obs,
+        ),
+        "optbetree" => observed(
+            OptBeTree::bulk_load(device, OptConfig::balanced(node_bytes, 124, cache), pairs),
+            obs,
+            OptBeTree::set_obs,
+        ),
+        "lsm" => {
+            let built = (|| {
+                let mut t = LsmTree::create(device, LsmConfig::new(node_bytes, cache))?;
+                let n = pairs.len() as u64;
+                let stride = 982_451_653u64;
+                for j in 0..n {
+                    let (k, v) = &pairs[((j.wrapping_mul(stride)) % n) as usize];
+                    t.insert(k, v)?;
+                }
+                t.sync()?;
+                Ok(t)
+            })();
+            observed(built, obs, LsmTree::set_obs)
+        }
+        other => Err(CliError::Usage(format!(
+            "unknown structure '{other}' (btree | betree | optbetree | lsm)"
+        ))),
+    }
+}
+
+/// Box a freshly built dictionary, attaching `obs` when given.
+fn observed<T: Dictionary + 'static>(
+    built: Result<T, KvError>,
+    obs: Option<&Obs>,
+    set_obs: fn(&mut T, Obs),
+) -> Result<Box<dyn Dictionary>, CliError> {
+    let mut t = built.map_err(|e| CliError::Runtime(e.to_string()))?;
+    if let Some(o) = obs {
+        set_obs(&mut t, o.clone());
+    }
+    Ok(Box::new(t))
+}
+
 /// `damlab run --structure <s> --device <d> ...`.
 pub fn run_workload(args: &Args) -> Result<String, CliError> {
     let structure = args.require("structure")?.to_string();
@@ -235,58 +309,12 @@ pub fn run_workload(args: &Args) -> Result<String, CliError> {
         Device::Hdd(p) => SharedDevice::new(Box::new(HddDevice::new(p, seed))),
         Device::Ssd(p) => SharedDevice::new(Box::new(SsdDevice::new(p))),
     };
-    let node_bytes = (node_kb * 1024) as usize;
-    let cache = cache_mb << 20;
-    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..keys)
-        .map(|i| {
-            (
-                refined_dam::kv::key_from_u64(2 * i).to_vec(),
-                vec![(i % 251) as u8; 100],
-            )
-        })
-        .collect();
-
-    let map_err = |e: KvError| CliError::Runtime(e.to_string());
-    let mut dict: Box<dyn Dictionary> = match structure.as_str() {
-        "btree" => Box::new(
-            BTree::bulk_load(device, BTreeConfig::new(node_bytes, cache), pairs)
-                .map_err(map_err)?,
-        ),
-        "betree" => Box::new(
-            BeTree::bulk_load(
-                device,
-                BeTreeConfig::sqrt_fanout(node_bytes, 124, cache),
-                pairs,
-            )
-            .map_err(map_err)?,
-        ),
-        "optbetree" => Box::new(
-            OptBeTree::bulk_load(device, OptConfig::balanced(node_bytes, 124, cache), pairs)
-                .map_err(map_err)?,
-        ),
-        "lsm" => {
-            let mut t =
-                LsmTree::create(device, LsmConfig::new(node_bytes, cache)).map_err(map_err)?;
-            let n = pairs.len() as u64;
-            let stride = 982_451_653u64;
-            for j in 0..n {
-                let (k, v) = &pairs[((j.wrapping_mul(stride)) % n) as usize];
-                t.insert(k, v).map_err(map_err)?;
-            }
-            t.sync().map_err(map_err)?;
-            Box::new(t)
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown structure '{other}' (btree | betree | optbetree | lsm)"
-            )))
-        }
-    };
+    let mut dict = preload(&structure, device, node_kb, cache_mb, keys, None)?;
 
     let scale = Scale {
         n_keys: keys,
         value_bytes: 100,
-        cache_bytes: cache,
+        cache_bytes: cache_mb << 20,
         ops,
         ..Scale::default()
     };
@@ -559,61 +587,8 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
     let (retrying, retry_handle) = RetryingDevice::new(injector, RetryPolicy::default());
     let device = ObservedDevice::shared(Box::new(retrying), obs.clone());
 
-    let node_bytes = (node_kb * 1024) as usize;
-    let cache = cache_mb << 20;
-    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..keys)
-        .map(|i| {
-            (
-                refined_dam::kv::key_from_u64(2 * i).to_vec(),
-                vec![(i % 251) as u8; 100],
-            )
-        })
-        .collect();
-
+    let mut dict = preload(&structure, device, node_kb, cache_mb, keys, Some(&obs))?;
     let map_err = |e: KvError| CliError::Runtime(e.to_string());
-    let mut dict: Box<dyn Dictionary> = match structure.as_str() {
-        "btree" => {
-            let mut t = BTree::bulk_load(device, BTreeConfig::new(node_bytes, cache), pairs)
-                .map_err(map_err)?;
-            t.set_obs(obs.clone());
-            Box::new(t)
-        }
-        "betree" => {
-            let mut t = BeTree::bulk_load(
-                device,
-                BeTreeConfig::sqrt_fanout(node_bytes, 124, cache),
-                pairs,
-            )
-            .map_err(map_err)?;
-            t.set_obs(obs.clone());
-            Box::new(t)
-        }
-        "optbetree" => {
-            let mut t =
-                OptBeTree::bulk_load(device, OptConfig::balanced(node_bytes, 124, cache), pairs)
-                    .map_err(map_err)?;
-            t.set_obs(obs.clone());
-            Box::new(t)
-        }
-        "lsm" => {
-            let mut t =
-                LsmTree::create(device, LsmConfig::new(node_bytes, cache)).map_err(map_err)?;
-            let n = pairs.len() as u64;
-            let stride = 982_451_653u64;
-            for j in 0..n {
-                let (k, v) = &pairs[((j.wrapping_mul(stride)) % n) as usize];
-                t.insert(k, v).map_err(map_err)?;
-            }
-            t.sync().map_err(map_err)?;
-            t.set_obs(obs.clone());
-            Box::new(t)
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown structure '{other}' (btree | betree | optbetree | lsm)"
-            )))
-        }
-    };
 
     // Mixed measured phase: point queries over preloaded (even) keys,
     // inserts of fresh (odd) keys, a few short scans, one sync.

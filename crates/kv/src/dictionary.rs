@@ -131,24 +131,18 @@ pub trait Dictionary {
     /// structures can amortize (the Bε-trees push the whole batch through
     /// their root message buffer before any cascade settles). The result
     /// MUST equal applying the ops one by one in order — batching changes
-    /// cost, never visible state. The default does exactly that, summing
-    /// per-op costs; implementations override it to share a single
-    /// begin/finish cost window.
+    /// cost, never visible state. The default does exactly that, so
+    /// afterwards `last_op_cost` holds only the final op's cost; callers
+    /// needing the batch cost of a non-overriding dictionary must sum
+    /// per-op costs themselves. Implementations override it to share a
+    /// single begin/finish cost window.
     fn apply_batch(&mut self, batch: &[BatchOp]) -> Result<(), KvError> {
-        let mut total = OpCost::default();
         for op in batch {
             match op {
                 BatchOp::Put { key, value } => self.insert(key, value)?,
                 BatchOp::Del { key } => self.delete(key)?,
             }
-            total.add(&self.last_op_cost());
         }
-        // The default cannot widen `last_op_cost` to the whole batch —
-        // only the final op's cost is visible afterwards. Overriding
-        // implementations fix this by wrapping the loop in one cost
-        // window; callers needing exact batch costs on a non-overriding
-        // dictionary must sum per-op costs themselves.
-        let _ = total;
         Ok(())
     }
 

@@ -131,15 +131,22 @@ fn merge_runs(runs: Vec<Vec<RunEntry>>, drop_tombstones: bool) -> Vec<RunEntry> 
         .collect()
 }
 
+/// Reject configurations the tree cannot run under; `create` and `open`
+/// both call it.
+fn validate(cfg: &LsmConfig) -> Result<(), KvError> {
+    if cfg.block_bytes < 64 || cfg.sstable_bytes < cfg.block_bytes {
+        return Err(KvError::Config("block/sstable sizes too small".into()));
+    }
+    if cfg.level_ratio < 2 || cfg.l0_limit < 1 || cfg.memtable_bytes < cfg.block_bytes {
+        return Err(KvError::Config("bad ratio/l0 limit/memtable size".into()));
+    }
+    Ok(())
+}
+
 impl LsmTree {
     /// Create an empty tree on `device`.
     pub fn create(device: SharedDevice, cfg: LsmConfig) -> Result<Self, KvError> {
-        if cfg.block_bytes < 64 || cfg.sstable_bytes < cfg.block_bytes {
-            return Err(KvError::Config("block/sstable sizes too small".into()));
-        }
-        if cfg.level_ratio < 2 || cfg.l0_limit < 1 || cfg.memtable_bytes < cfg.block_bytes {
-            return Err(KvError::Config("bad ratio/l0 limit/memtable size".into()));
-        }
+        validate(&cfg)?;
         Ok(LsmTree {
             pager: Pager::new(device, cfg.cache_bytes, MANIFEST_BYTES),
             cfg,
@@ -157,8 +164,10 @@ impl LsmTree {
     ///
     /// Reads the framed manifest at offset 0, validates its checksum and
     /// rebuilds the level layout, block indexes and allocator state.  A
-    /// torn or corrupted manifest surfaces as [`KvError::Corrupt`].
+    /// torn or corrupted manifest surfaces as [`KvError::Corrupt`]; a
+    /// config that `create` would reject, as [`KvError::Config`].
     pub fn open(device: SharedDevice, cfg: LsmConfig) -> Result<Self, KvError> {
+        validate(&cfg)?;
         // Read the manifest straight from the device: it can be far
         // larger than the cache budget, and caching a one-shot read of
         // the whole region would only evict useful pages.
@@ -184,19 +193,7 @@ impl LsmTree {
         for _ in 0..nlevels {
             levels.push(decode_tables(&mut r).map_err(dec)?);
         }
-        let high_water = r.get_u64().map_err(dec)?;
-        let nfree = r.get_u32().map_err(dec)? as usize;
-        let mut free = Vec::with_capacity(nfree);
-        for _ in 0..nfree {
-            let len = r.get_u64().map_err(dec)?;
-            let k = r.get_u32().map_err(dec)? as usize;
-            let mut offs = Vec::with_capacity(k);
-            for _ in 0..k {
-                offs.push(r.get_u64().map_err(dec)?);
-            }
-            free.push((len, offs));
-        }
-        pager.restore_alloc(high_water, free, MANIFEST_BYTES);
+        pager.read_alloc(&mut r, MANIFEST_BYTES).map_err(dec)?;
         Ok(LsmTree {
             pager,
             cfg,
@@ -233,16 +230,7 @@ impl LsmTree {
         for level in &self.levels {
             encode_tables(&mut w, level);
         }
-        let (high_water, free) = self.pager.export_alloc();
-        w.put_u64(high_water);
-        w.put_u32(free.len() as u32);
-        for (len, offs) in &free {
-            w.put_u64(*len);
-            w.put_u32(offs.len() as u32);
-            for &o in offs {
-                w.put_u64(o);
-            }
-        }
+        self.pager.write_alloc(&mut w);
         let payload = w.into_bytes();
         if (payload.len() + FRAME_OVERHEAD) as u64 > MANIFEST_BYTES {
             return Err(KvError::Config(format!(
@@ -724,6 +712,9 @@ impl Dictionary for LsmTree {
 
 #[cfg(test)]
 mod tests {
+    //! LSM-specific behaviour. The contract every dictionary shares is
+    //! checked once, for all four, by `tests/dictionary_contract.rs`.
+
     use super::*;
     use dam_kv::key_from_u64;
     use dam_storage::{RamDisk, SimDuration};
@@ -738,123 +729,20 @@ mod tests {
         LsmTree::create(dev, cfg).unwrap()
     }
 
-    fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {
-        (
-            key_from_u64(i).to_vec(),
-            format!("value-{i:08}").into_bytes(),
-        )
-    }
-
-    #[test]
-    fn empty_tree() {
-        let mut t = tree(4096);
-        assert_eq!(t.get(b"x").unwrap(), None);
-        assert_eq!(t.len().unwrap(), 0);
-        assert!(t.range(b"a", b"z").unwrap().is_empty());
-        assert_eq!(t.check_invariants().unwrap(), 0);
-    }
-
-    #[test]
-    fn insert_get_through_compactions() {
-        let mut t = tree(2048);
-        for i in 0..3000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        // Should have spilled well past L0.
-        let counts = t.level_table_counts();
-        assert!(counts.len() > 1, "levels: {counts:?}");
-        assert!(counts.iter().skip(1).any(|&c| c > 0), "levels: {counts:?}");
-        for i in (0..3000).step_by(97) {
-            let (k, v) = kv(i);
-            assert_eq!(t.get(&k).unwrap(), Some(v), "key {i}");
-        }
-        assert_eq!(t.check_invariants().unwrap(), 3000);
-        assert_eq!(t.len().unwrap(), 3000);
-    }
-
-    #[test]
-    fn random_order_and_overwrites() {
-        let mut t = tree(2048);
-        let keys: Vec<u64> = (0..2000).map(|i| (i * 1237) % 1000).collect();
-        for (round, &i) in keys.iter().enumerate() {
-            let k = key_from_u64(i);
-            t.insert(&k, &(round as u64).to_le_bytes()).unwrap();
-        }
-        // Latest write wins: find the last round for a few keys.
-        for probe in [0u64, 123, 999] {
-            let last = keys.iter().rposition(|&k| k == probe);
-            let got = t.get(&key_from_u64(probe)).unwrap();
-            match last {
-                Some(r) => assert_eq!(got, Some((r as u64).to_le_bytes().to_vec()), "key {probe}"),
-                None => assert_eq!(got, None),
-            }
-        }
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn tombstones_across_levels() {
-        let mut t = tree(2048);
-        for i in 0..1500 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        for i in (0..1500).step_by(2) {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        for i in 0..1500 {
-            let (k, v) = kv(i);
-            let expect = if i % 2 == 0 { None } else { Some(v) };
-            assert_eq!(t.get(&k).unwrap(), expect, "key {i}");
-        }
-        assert_eq!(t.len().unwrap(), 750);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn range_merges_all_sources() {
-        let mut t = tree(2048);
-        for i in 0..1000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        // Overwrite a band (lands in the memtable) and delete another.
-        for i in 100..110 {
-            let k = key_from_u64(i);
-            t.insert(&k, b"fresh").unwrap();
-        }
-        for i in 110..115 {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
-        }
-        let out = t.range(&key_from_u64(95), &key_from_u64(120)).unwrap();
-        let keys: Vec<u64> = out
-            .iter()
-            .map(|(k, _)| dam_kv::key_to_u64(k).unwrap())
-            .collect();
-        let expect: Vec<u64> = (95..110).chain(115..120).collect();
-        assert_eq!(keys, expect);
-        for (k, v) in &out {
-            let i = dam_kv::key_to_u64(k).unwrap();
-            if (100..110).contains(&i) {
-                assert_eq!(v, b"fresh");
-            }
-        }
+    fn insert(t: &mut LsmTree, i: u64) {
+        let v = format!("value-{i:08}").into_bytes();
+        t.insert(&key_from_u64(i), &v).unwrap();
     }
 
     #[test]
     fn point_read_cost_is_blocks_not_tables() {
         let mut t = tree(8192);
         for i in 0..5000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
+            insert(&mut t, i);
         }
         t.sync().unwrap();
         t.drop_cache().unwrap();
-        let (k, _) = kv(2500);
-        t.get(&k).unwrap();
+        t.get(&key_from_u64(2500)).unwrap();
         let c = t.last_op_cost();
         // A point read touches at most a block per sorted run on the path.
         assert!(c.ios <= 8, "ios {}", c.ios);
@@ -866,8 +754,7 @@ mod tests {
         let mut t = tree(4096);
         let n = 4000u64;
         for i in 0..n {
-            let (k, v) = kv((i * 2654435761) % 100_000);
-            t.insert(&k, &v).unwrap();
+            insert(&mut t, (i * 2654435761) % 100_000);
         }
         t.sync().unwrap();
         let written = t.pager().counters().bytes_written as f64;
@@ -882,74 +769,27 @@ mod tests {
     fn sync_persists_memtable() {
         let mut t = tree(1 << 20); // huge memtable: nothing auto-flushes
         for i in 0..50 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
+            insert(&mut t, i);
         }
         assert_eq!(t.level_table_counts(), vec![0]);
         t.sync().unwrap();
         assert_eq!(t.level_table_counts(), vec![1]);
         t.drop_cache().unwrap();
-        let (k, v) = kv(25);
-        assert_eq!(t.get(&k).unwrap(), Some(v));
+        let got = t.get(&key_from_u64(25)).unwrap();
+        assert_eq!(got, Some(b"value-00000025".to_vec()));
     }
 
     #[test]
-    fn persist_open_roundtrip() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 28, SimDuration(1000))));
-        let mut cfg = LsmConfig::new(2048, 1 << 20);
-        cfg.memtable_bytes = 1024;
-        cfg.block_bytes = 512;
-        cfg.level_ratio = 4;
-        cfg.l0_limit = 2;
-        let mut t = LsmTree::create(dev.clone(), cfg).unwrap();
+    fn reopen_restores_the_level_layout() {
+        let mut t = tree(2048);
         for i in 0..2000 {
-            let (k, v) = kv(i);
-            t.insert(&k, &v).unwrap();
-        }
-        for i in (0..2000).step_by(3) {
-            let (k, _) = kv(i);
-            t.delete(&k).unwrap();
+            insert(&mut t, i);
         }
         t.sync().unwrap();
         let counts = t.level_table_counts();
-        let expect_len = t.len().unwrap();
-        drop(t);
-
-        let mut r = LsmTree::open(dev, cfg).unwrap();
-        assert_eq!(r.level_table_counts(), counts);
-        assert_eq!(r.len().unwrap(), expect_len);
-        for i in (0..2000).step_by(41) {
-            let (k, v) = kv(i);
-            let expect = if i % 3 == 0 { None } else { Some(v) };
-            assert_eq!(r.get(&k).unwrap(), expect, "key {i}");
-        }
-        r.check_invariants().unwrap();
-        // The allocator was restored: new inserts + sync must not clobber
-        // live tables.
-        for i in 2000..2500 {
-            let (k, v) = kv(i);
-            r.insert(&k, &v).unwrap();
-        }
-        r.sync().unwrap();
-        r.drop_cache().unwrap();
-        assert_eq!(r.len().unwrap(), expect_len + 500);
-        r.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn open_blank_device_errors() {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 22, SimDuration(1000))));
-        let cfg = LsmConfig::new(4096, 1 << 20);
-        assert!(matches!(LsmTree::open(dev, cfg), Err(KvError::Corrupt(_))));
-    }
-
-    #[test]
-    fn oversized_entry_rejected() {
-        let mut t = tree(4096);
-        assert!(matches!(
-            t.insert(b"k", &vec![0u8; 4096]),
-            Err(KvError::Config(_))
-        ));
+        assert!(counts.len() > 2, "levels: {counts:?}");
+        let reopened = LsmTree::open(t.pager().device().clone(), *t.config()).unwrap();
+        assert_eq!(reopened.level_table_counts(), counts);
     }
 
     #[test]
@@ -962,40 +802,5 @@ mod tests {
         t.check_invariants().unwrap();
         let counts = t.level_table_counts();
         assert!(counts.len() >= 3, "expected several levels: {counts:?}");
-    }
-
-    /// Regression (dam-check): `len` and `check_invariants` used to scan up
-    /// to the finite sentinel `[0xFF; 64]`, silently dropping any key that
-    /// sorts at or above it. The count must include every live key.
-    #[test]
-    fn len_counts_keys_above_ff_sentinel() {
-        let mut t = tree(4096);
-        t.insert(&[0xFFu8; 64], b"at-sentinel").unwrap();
-        t.insert(&[0xFFu8; 80], b"above-sentinel").unwrap();
-        t.insert(b"", b"empty-key").unwrap();
-        assert_eq!(t.len().unwrap(), 3);
-        assert_eq!(t.check_invariants().unwrap(), 3);
-        // Still counted once flushed out of the memtable.
-        t.sync().unwrap();
-        assert_eq!(t.len().unwrap(), 3);
-        assert_eq!(
-            t.get(&[0xFFu8; 80]).unwrap(),
-            Some(b"above-sentinel".to_vec())
-        );
-    }
-
-    /// Regression (dam-check): a failed operation must report zero cost,
-    /// not the previous operation's numbers.
-    #[test]
-    fn failed_op_reports_zero_cost() {
-        let mut t = tree(4096);
-        for i in 0..200 {
-            t.insert(&key_from_u64(i), &[7u8; 40]).unwrap();
-        }
-        t.sync().unwrap();
-        assert!(t.last_op_cost().ios > 0, "sync should cost IO");
-        let err = t.insert(b"big", &vec![0u8; 4096]);
-        assert!(matches!(err, Err(KvError::Config(_))));
-        assert_eq!(t.last_op_cost(), OpCost::default());
     }
 }

@@ -1,36 +1,13 @@
-//! Property tests: the LSM-tree behaves exactly like
-//! `std::collections::BTreeMap` under arbitrary operation sequences, across
-//! memtable flushes, L0 spills, and multi-level compactions.
+//! Property test: heavy compaction (tiny memtable, `l0_limit = 1`, ratio 2)
+//! preserves every key. The model check every dictionary shares lives in
+//! `tests/dictionary_contract.rs`.
 
 use dam_kv::{key_from_u64, Dictionary};
 use dam_lsm::{LsmConfig, LsmTree};
 use dam_stats::prop::vec;
-use dam_stats::{property, SplitMix64};
+use dam_stats::property;
 use dam_storage::{RamDisk, SharedDevice, SimDuration};
 use std::collections::BTreeMap;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(u16, u8),
-    Delete(u16),
-    Get(u16),
-    Range(u16, u16),
-    Sync,
-    DropCache,
-}
-
-/// Weights 5:2:2:1:1:1 over a 512-key space.
-fn gen_op(r: &mut SplitMix64) -> Op {
-    let k = r.below(512) as u16;
-    match r.below(12) {
-        0..=4 => Op::Insert(k, r.byte()),
-        5..=6 => Op::Delete(k),
-        7..=8 => Op::Get(k),
-        9 => Op::Range(k, r.below(512) as u16),
-        10 => Op::Sync,
-        _ => Op::DropCache,
-    }
-}
 
 fn value_for(v: u8) -> Vec<u8> {
     vec![v; 8 + (v as usize % 24)]
@@ -38,56 +15,6 @@ fn value_for(v: u8) -> Vec<u8> {
 
 property! {
     cases = 40, rng = r;
-
-    #[test]
-    fn lsm_equals_btreemap(
-        ops in vec(r, 1..250, gen_op),
-        memtable_bytes in [256, 512, 2048][r.below(3) as usize],
-    ) {
-        let dev = SharedDevice::new(Box::new(RamDisk::new(1 << 26, SimDuration(100))));
-        let mut cfg = LsmConfig::new(1024, 1 << 16);
-        cfg.memtable_bytes = memtable_bytes;
-        cfg.block_bytes = 256;
-        cfg.level_ratio = 3;
-        cfg.l0_limit = 2;
-        let mut tree = LsmTree::create(dev, cfg).unwrap();
-        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-
-        for op in ops {
-            match op {
-                Op::Insert(k, v) => {
-                    let value = value_for(v);
-                    tree.insert(&key_from_u64(k as u64), &value).unwrap();
-                    model.insert(k as u64, value);
-                }
-                Op::Delete(k) => {
-                    tree.delete(&key_from_u64(k as u64)).unwrap();
-                    model.remove(&(k as u64));
-                }
-                Op::Get(k) => {
-                    let got = tree.get(&key_from_u64(k as u64)).unwrap();
-                    assert_eq!(got.as_ref(), model.get(&(k as u64)));
-                }
-                Op::Range(a, b) => {
-                    let (lo, hi) = (a.min(b) as u64, a.max(b) as u64);
-                    let got = tree.range(&key_from_u64(lo), &key_from_u64(hi)).unwrap();
-                    let expect: Vec<(Vec<u8>, Vec<u8>)> = model
-                        .range(lo..hi)
-                        .map(|(&k, v)| (key_from_u64(k).to_vec(), v.clone()))
-                        .collect();
-                    assert_eq!(got, expect);
-                }
-                Op::Sync => tree.sync().unwrap(),
-                Op::DropCache => tree.drop_cache().unwrap(),
-            }
-        }
-
-        assert_eq!(tree.check_invariants().unwrap(), model.len() as u64);
-        let all = tree.range(&[], &[0xFF; 17]).unwrap();
-        let expect: Vec<(Vec<u8>, Vec<u8>)> =
-            model.iter().map(|(&k, v)| (key_from_u64(k).to_vec(), v.clone())).collect();
-        assert_eq!(all, expect);
-    }
 
     #[test]
     fn compaction_preserves_everything(

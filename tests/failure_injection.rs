@@ -226,78 +226,6 @@ fn lsm_after_ios_recovery() {
     check_after_ios_recovery(Box::new(tree), switch, "lsm");
 }
 
-/// A `get` or `range` whose first device read succeeds and whose second
-/// fails reports a zero cost, not the IO it did before the error (the
-/// accounting contract on `Dictionary::last_op_cost`).
-fn check_failed_reads_report_zero_cost(
-    mut dict: Box<dyn Dictionary>,
-    switch: FaultSwitch,
-    label: &str,
-) {
-    // Scattered insertion order, so LSM runs overlap and a get can probe
-    // more than one table.
-    for i in 0..2_000u64 {
-        let k = refined_dam::kv::key_from_u64((i * 37) % 2_000);
-        dict.insert(&k, &[(i % 251) as u8; 50]).unwrap();
-    }
-    dict.sync().unwrap();
-    let mut failed = false;
-    for i in 0..2_000u64 {
-        // Let one IO through, then fail: an error means a read succeeded
-        // inside the same get before the fault. Keys are visited out of
-        // order so consecutive gets share few cached blocks.
-        switch.set(FaultMode::AfterIos(1));
-        match dict.get(&refined_dam::kv::key_from_u64((i * 997) % 2_000)) {
-            Ok(_) => {}
-            Err(KvError::Storage(_)) => {
-                assert!(switch.stats().ios_seen >= 2, "{label}: no read passed");
-                assert_eq!(
-                    dict.last_op_cost(),
-                    OpCost::default(),
-                    "{label}: failed get reported a cost"
-                );
-                failed = true;
-                break;
-            }
-            Err(other) => panic!("{label}: unexpected error kind: {other}"),
-        }
-    }
-    assert!(failed, "{label}: no get failed after a device read");
-    switch.set(FaultMode::AfterIos(1));
-    assert!(
-        matches!(dict.range(&[], &[0xFF; 17]), Err(KvError::Storage(_))),
-        "{label}: a full scan read fewer than two blocks"
-    );
-    assert_eq!(
-        dict.last_op_cost(),
-        OpCost::default(),
-        "{label}: failed range reported a cost"
-    );
-    switch.set(FaultMode::None);
-}
-
-#[test]
-fn failed_reads_report_zero_cost_on_every_structure() {
-    // A one-page cache, so every get reads more than one node.
-    let (dev, switch) = faulty_device();
-    let tree = BTree::create(dev, BTreeConfig::new(4096, 1 << 12)).unwrap();
-    check_failed_reads_report_zero_cost(Box::new(tree), switch, "btree");
-
-    let (dev, switch) = faulty_device();
-    let tree = BeTree::create(dev, BeTreeConfig::new(4096, 4, 1 << 12)).unwrap();
-    check_failed_reads_report_zero_cost(Box::new(tree), switch, "betree");
-
-    let (dev, switch) = faulty_device();
-    let tree = OptBeTree::create(dev, OptConfig::new(4, 1024, 1 << 12)).unwrap();
-    check_failed_reads_report_zero_cost(Box::new(tree), switch, "opt-betree");
-
-    let (dev, switch) = faulty_device();
-    let mut cfg = LsmConfig::new(4096, 1 << 12);
-    cfg.block_bytes = 512;
-    let tree = LsmTree::create(dev, cfg).unwrap();
-    check_failed_reads_report_zero_cost(Box::new(tree), switch, "lsm");
-}
-
 #[test]
 fn transient_faults_absorbed_by_retrying_device() {
     // Stack: BTree → pager → RetryingDevice → FaultInjector → RamDisk.

@@ -1,110 +1,11 @@
-//! Persistence integration: trees survive instance teardown via their
-//! superblocks, across repeated open/mutate/persist cycles, with a model
-//! checking content at every step.
+//! Persistence across structures: each superblock or manifest opens only
+//! as its own kind. Reopen cycles for every dictionary are a case of the
+//! shared contract in `tests/dictionary_contract.rs`.
 
-use dam_stats::SplitMix64;
 use refined_dam::prelude::*;
-use std::collections::BTreeMap;
 
 fn ramdisk() -> SharedDevice {
     SharedDevice::new(Box::new(RamDisk::new(1 << 27, SimDuration(500))))
-}
-
-/// One open→mutate→persist cycle; returns nothing, mutates the model.
-fn mutate(
-    dict: &mut dyn Dictionary,
-    model: &mut BTreeMap<u64, Vec<u8>>,
-    rng: &mut SplitMix64,
-    ops: usize,
-) {
-    for _ in 0..ops {
-        let k = rng.below(500);
-        let key = refined_dam::kv::key_from_u64(k);
-        if rng.chance(7, 10) {
-            let v = vec![rng.byte(); rng.range(4..40) as usize];
-            dict.insert(&key, &v).unwrap();
-            model.insert(k, v);
-        } else {
-            dict.delete(&key).unwrap();
-            model.remove(&k);
-        }
-    }
-}
-
-fn verify(dict: &mut dyn Dictionary, model: &BTreeMap<u64, Vec<u8>>, label: &str) {
-    assert_eq!(dict.len().unwrap(), model.len() as u64, "{label}: count");
-    let all = dict.range(&[], &[0xFF; 17]).unwrap();
-    let expect: Vec<(Vec<u8>, Vec<u8>)> = model
-        .iter()
-        .map(|(&k, v)| (refined_dam::kv::key_from_u64(k).to_vec(), v.clone()))
-        .collect();
-    assert_eq!(all, expect, "{label}: full scan");
-}
-
-#[test]
-fn btree_survives_reopen_cycles() {
-    let dev = ramdisk();
-    let cfg = || BTreeConfig::new(1024, 1 << 18);
-    let mut model = BTreeMap::new();
-    let mut rng = SplitMix64::new(31);
-    {
-        let mut t = BTree::create(dev.clone(), cfg()).unwrap();
-        mutate(&mut t, &mut model, &mut rng, 800);
-        t.persist().unwrap();
-    }
-    for cycle in 0..4 {
-        let mut t = BTree::open(dev.clone(), cfg()).unwrap();
-        verify(&mut t, &model, &format!("btree cycle {cycle} (pre)"));
-        mutate(&mut t, &mut model, &mut rng, 400);
-        t.check_invariants().unwrap();
-        t.persist().unwrap();
-    }
-    let mut t = BTree::open(dev, cfg()).unwrap();
-    verify(&mut t, &model, "btree final");
-}
-
-#[test]
-fn betree_survives_reopen_cycles() {
-    let dev = ramdisk();
-    let cfg = || BeTreeConfig::new(2048, 4, 1 << 18);
-    let mut model = BTreeMap::new();
-    let mut rng = SplitMix64::new(32);
-    {
-        let mut t = BeTree::create(dev.clone(), cfg()).unwrap();
-        mutate(&mut t, &mut model, &mut rng, 800);
-        t.persist().unwrap();
-    }
-    for cycle in 0..4 {
-        let mut t = BeTree::open(dev.clone(), cfg()).unwrap();
-        verify(&mut t, &model, &format!("betree cycle {cycle} (pre)"));
-        mutate(&mut t, &mut model, &mut rng, 400);
-        t.check_invariants().unwrap();
-        t.persist().unwrap();
-    }
-    let mut t = BeTree::open(dev, cfg()).unwrap();
-    verify(&mut t, &model, "betree final");
-}
-
-#[test]
-fn opt_betree_survives_reopen_cycles() {
-    let dev = ramdisk();
-    let cfg = || OptConfig::new(4, 768, 1 << 18);
-    let mut model = BTreeMap::new();
-    let mut rng = SplitMix64::new(33);
-    {
-        let mut t = OptBeTree::create(dev.clone(), cfg()).unwrap();
-        mutate(&mut t, &mut model, &mut rng, 800);
-        t.persist().unwrap();
-    }
-    for cycle in 0..4 {
-        let mut t = OptBeTree::open(dev.clone(), cfg()).unwrap();
-        verify(&mut t, &model, &format!("opt cycle {cycle} (pre)"));
-        mutate(&mut t, &mut model, &mut rng, 400);
-        t.check_invariants().unwrap();
-        t.persist().unwrap();
-    }
-    let mut t = OptBeTree::open(dev, cfg()).unwrap();
-    verify(&mut t, &model, "opt final");
 }
 
 #[test]
